@@ -8,6 +8,11 @@
 use crate::mechanism::standard_laplace;
 use rand::rngs::StdRng;
 
+/// Ring capacity the mechanisms use: one fill covers 256 noise intervals
+/// (51 ms at the obfuscator's 200 µs interval), so a short trace window
+/// draws little more than it reads.
+pub(crate) const MECHANISM_CAPACITY: usize = 256;
+
 /// A refillable ring buffer of standard-Laplace draws.
 #[derive(Debug, Clone)]
 pub struct NoiseBuffer {
@@ -17,15 +22,22 @@ pub struct NoiseBuffer {
 }
 
 impl NoiseBuffer {
-    /// Creates a buffer of `capacity` precomputed `Lap(1)` draws.
+    /// Creates a buffer of `capacity` `Lap(1)` draws. The first draw
+    /// fills it, so a buffer that is never read costs no draws.
+    ///
+    /// The draw sequence does not depend on `capacity`: every fill
+    /// continues the same `rng` stream.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn standard_laplace(capacity: usize, mut rng: StdRng) -> Self {
+    pub fn standard_laplace(capacity: usize, rng: StdRng) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
-        let buf = (0..capacity).map(|_| standard_laplace(&mut rng)).collect();
-        NoiseBuffer { buf, idx: 0, rng }
+        NoiseBuffer {
+            buf: vec![0.0; capacity],
+            idx: capacity,
+            rng,
+        }
     }
 
     /// Buffer capacity.

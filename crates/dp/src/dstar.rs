@@ -18,7 +18,7 @@
 //! structure yields better privacy for time series under the `d*` metric
 //! at equal ε — which is why Fig. 9 shows d* dominating Laplace.
 
-use crate::buffer::NoiseBuffer;
+use crate::buffer::{NoiseBuffer, MECHANISM_CAPACITY};
 use crate::mechanism::NoiseMechanism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,7 +83,7 @@ impl DStarMechanism {
         let rng = StdRng::seed_from_u64(seed ^ 0xd57a_0000);
         DStarMechanism {
             epsilon,
-            buffer: NoiseBuffer::standard_laplace(4096, rng),
+            buffer: NoiseBuffer::standard_laplace(MECHANISM_CAPACITY, rng),
             history: vec![(0.0, 0.0)],
         }
     }

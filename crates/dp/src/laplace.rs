@@ -1,6 +1,6 @@
 //! The Laplace mechanism (Theorem 1: ε-DP).
 
-use crate::buffer::NoiseBuffer;
+use crate::buffer::{NoiseBuffer, MECHANISM_CAPACITY};
 use crate::mechanism::NoiseMechanism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,7 +50,7 @@ impl LaplaceMechanism {
         LaplaceMechanism {
             epsilon,
             sensitivity,
-            buffer: NoiseBuffer::standard_laplace(4096, rng),
+            buffer: NoiseBuffer::standard_laplace(MECHANISM_CAPACITY, rng),
         }
     }
 

@@ -87,13 +87,17 @@ fn dstar_total_noise_exceeds_laplace_over_a_window() {
 #[test]
 fn noise_buffers_from_the_same_seed_agree_across_capacities() {
     // Capacity is an implementation detail of the ring, not of the
-    // stream's distribution; different capacities give different streams,
-    // equal capacities identical ones.
+    // stream: every fill continues the same RNG, so any capacity yields
+    // the same draws. Capacities that do and do not divide the read
+    // count cross refill boundaries at different positions.
     let draws = |cap: usize| -> Vec<f64> {
         let mut b = NoiseBuffer::standard_laplace(cap, StdRng::seed_from_u64(4));
-        (0..cap.min(16)).map(|_| b.next()).collect()
+        (0..1000).map(|_| b.next()).collect()
     };
-    assert_eq!(draws(64), draws(64));
+    let reference = draws(4096);
+    for cap in [1, 7, 64, 256, 999, 1000, 1001] {
+        assert_eq!(draws(cap), reference, "capacity {cap}");
+    }
 }
 
 #[test]

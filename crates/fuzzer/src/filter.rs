@@ -152,7 +152,10 @@ mod tests {
         }
     }
 
-    fn events(data: &[(u32, &[(u32, u32, f64)])]) -> Vec<EventGadgets> {
+    /// `(event, [(reset, trigger, effect)])` rows of a test fixture.
+    type EventRow<'a> = (u32, &'a [(u32, u32, f64)]);
+
+    fn events(data: &[EventRow]) -> Vec<EventGadgets> {
         data.iter()
             .map(|&(ev, gs)| EventGadgets {
                 event: EventId(ev),

@@ -791,9 +791,11 @@ mod tests {
             rec.window(&[WellKnown::Add64.id()]);
         }
         let trace = rec.finish();
-        let mut eval = TraceEval::new(&trace, &matrix, noise_base, ev);
-        assert!(eval.next_window().is_some());
-        drop(eval); // abandoning mid-trace is free
+        {
+            // Abandoning an evaluation mid-trace is free.
+            let mut eval = TraceEval::new(&trace, &matrix, noise_base, ev);
+            assert!(eval.next_window().is_some());
+        }
         let mut eval2 = TraceEval::new(&trace, &matrix, noise_base, ev);
         assert_eq!(eval2.take_windows(5).len(), 5);
         assert!(eval2.next_window().is_none());

@@ -469,7 +469,7 @@ mod tests {
             &ActivityVector::from_pairs(&[(Feature::UopsRetired, 1000.0)]),
             Origin::Host,
         );
-        let mut twin = pmu.clone();
+        let twin = pmu.clone();
         pmu.set_fail_closed(true);
         assert!(pmu.fail_closed());
         assert_eq!(pmu.rdpmc(0).unwrap(), 0, "latched read is zero");

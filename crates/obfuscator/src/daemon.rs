@@ -3,7 +3,7 @@
 //!
 //! The *kernel module* launches the protection service and, for the d*
 //! mechanism, monitors the real-time HPC values with RDPMC, forwarding
-//! them to userspace over a netlink-style channel. The *userspace daemon*
+//! them to userspace over a netlink-style feed. The *userspace daemon*
 //! computes the per-interval noise value from precomputed random draws
 //! (the noise calculator) and converts it into a number of gadget-stack
 //! repetitions injected into the VM's execution flow (the noise
@@ -15,7 +15,6 @@ use aegis_dp::{ClipBound, NoiseMechanism};
 use aegis_faults::{self as faults, site, FaultPlan, FaultStream};
 use aegis_microarch::{ActivityVector, Feature};
 use aegis_sev::{ActivitySource, ProtectionStatus};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -57,49 +56,24 @@ impl Default for ObfuscatorConfig {
     }
 }
 
-/// One HPC sample forwarded from the kernel module to the daemon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HpcSample {
-    /// 1-based interval index.
-    t: usize,
-    /// Normalized reference-event value of the interval.
-    x_norm: f64,
-}
-
-/// The in-guest kernel module: monitors the protected vCPU's HPC values
-/// and streams them to the userspace daemon.
-#[derive(Debug)]
-struct KernelModule {
-    tx: Sender<HpcSample>,
-}
-
-impl KernelModule {
-    fn publish(&self, sample: HpcSample) {
-        // A full channel means the daemon stalled; dropping the sample
-        // mirrors netlink's lossy behaviour under back-pressure.
-        let _ = self.tx.try_send(sample);
-    }
-}
-
 /// The userspace daemon: noise calculator + injector arithmetic.
 struct UserDaemon {
-    rx: Receiver<HpcSample>,
     mechanism: Box<dyn NoiseMechanism>,
     clip: ClipBound,
+    /// Samples consumed so far. The mechanism indexes its series by this
+    /// count, not by the interval counter: a dropped sample leaves a gap
+    /// in the intervals but none in the series d* anchors on.
+    consumed: usize,
 }
 
 impl UserDaemon {
-    /// Consumes pending samples and returns the normalized (clipped)
-    /// noise for the most recent one.
-    fn compute_noise(&mut self) -> Option<f64> {
-        let mut latest = None;
-        while let Ok(sample) = self.rx.try_recv() {
-            // Every sample must pass through the mechanism so stateful
-            // mechanisms (d*) see a gapless series.
-            let noise = self.mechanism.noise_at(sample.t, sample.x_norm);
-            latest = Some(self.clip.clip(noise));
-        }
-        latest
+    /// Drains the feed and returns the normalized (clipped) noise for the
+    /// sample it held, if any.
+    fn compute_noise(&mut self, feed: &mut Option<f64>) -> Option<f64> {
+        let x_norm = feed.take()?;
+        self.consumed += 1;
+        let noise = self.mechanism.noise_at(self.consumed, x_norm);
+        Some(self.clip.clip(noise))
     }
 }
 
@@ -109,7 +83,12 @@ impl UserDaemon {
 pub struct Obfuscator {
     stack: GadgetStack,
     cfg: ObfuscatorConfig,
-    kernel: KernelModule,
+    /// The kernel module → daemon sample feed (the paper's netlink
+    /// socket): the normalized reference-event value of the interval
+    /// that just closed. One slot suffices: each interval boundary
+    /// publishes into it and the daemon drains it in the same call, so
+    /// it never holds more than one sample and needs no lock or wake-up.
+    feed: Option<f64>,
     daemon: UserDaemon,
     /// Signature-diverse gadget groups: `(summed activity, µops)` per
     /// lane. Each interval executes one lane, so the injected noise
@@ -133,6 +112,9 @@ pub struct Obfuscator {
     reload_stream: Option<FaultStream>,
     starved_ticks: u32,
     stale_intervals: u32,
+    // Defense-effect telemetry, flushed once in `Drop`.
+    samples_dropped: u64,
+    fallback_intervals: u64,
 }
 
 impl Obfuscator {
@@ -165,16 +147,15 @@ impl Obfuscator {
         seed: u64,
         plan: FaultPlan,
     ) -> Self {
-        let (tx, rx) = bounded(64);
         let lanes = build_lanes(&stack);
         Obfuscator {
             stack,
             cfg,
-            kernel: KernelModule { tx },
+            feed: None,
             daemon: UserDaemon {
-                rx,
                 mechanism,
                 clip: cfg.clip,
+                consumed: 0,
             },
             lanes,
             lane_rng: StdRng::seed_from_u64(seed ^ 0x1a4e_5000),
@@ -194,6 +175,8 @@ impl Obfuscator {
                 .then(|| FaultStream::new(&plan, site::SERVICE_RELOAD, seed)),
             starved_ticks: 0,
             stale_intervals: 0,
+            samples_dropped: 0,
+            fallback_intervals: 0,
         }
     }
 
@@ -299,11 +282,14 @@ impl Obfuscator {
             .as_mut()
             .is_some_and(|s| s.chance(self.faults.sample_drop));
         if dropped {
+            self.samples_dropped += 1;
             faults::report("netlink", "sample_drop", &[("t", self.t as u64)]);
         } else {
-            self.kernel.publish(HpcSample { t: self.t, x_norm });
+            // A full feed would mean the daemon stalled; like netlink
+            // under back-pressure, the newest sample is the one dropped.
+            self.feed.get_or_insert(x_norm);
         }
-        if let Some(noise_norm) = self.daemon.compute_noise() {
+        if let Some(noise_norm) = self.daemon.compute_noise(&mut self.feed) {
             self.stale_intervals = 0;
             let counts = noise_norm * self.cfg.noise_scale_counts;
             self.inject_lane(counts);
@@ -319,6 +305,7 @@ impl Obfuscator {
                 aegis_obs::event("obfuscator.stale_feed", &[("kind", "fault")]);
             }
             if self.stale_intervals >= STALE_INTERVALS_DEGRADED {
+                self.fallback_intervals += 1;
                 let counts = self.cfg.clip.hi * self.cfg.noise_scale_counts;
                 self.inject_lane(counts);
             }
@@ -377,6 +364,16 @@ impl Drop for Obfuscator {
             let registry = aegis_obs::global();
             registry.counter_add("obfuscator.injected_counts", self.injected_counts);
             registry.counter_add("obfuscator.intervals", self.t as f64);
+            // Fault-only counters stay absent from fault-free snapshots.
+            if self.samples_dropped > 0 {
+                registry.counter_add("obfuscator.samples_dropped", self.samples_dropped as f64);
+            }
+            if self.fallback_intervals > 0 {
+                registry.counter_add(
+                    "obfuscator.fallback_intervals",
+                    self.fallback_intervals as f64,
+                );
+            }
         }
     }
 }
@@ -617,6 +614,80 @@ mod tests {
             "degraded rate {last} should sit at the ceiling {ceiling}"
         );
         assert!(obf.injected_counts() > 0.0);
+    }
+
+    #[test]
+    fn dropped_samples_leave_no_gap_in_the_mechanism_series() {
+        // d* rejects a gap in its series; the daemon indexes it by
+        // consumed samples, so lossy feeds run to completion for every
+        // mechanism while the interval counter keeps counting intervals.
+        let half = FaultPlan {
+            seed: 3,
+            sample_drop: 0.5,
+            ..FaultPlan::none()
+        };
+        for plan in [FaultPlan::smoke(), half] {
+            let mechanisms: [Box<dyn NoiseMechanism>; 2] = [
+                Box::new(DStarMechanism::new(8.0, 0)),
+                Box::new(LaplaceMechanism::new(1.0, 0)),
+            ];
+            for mechanism in mechanisms {
+                let name = mechanism.name();
+                let cfg = ObfuscatorConfig::default();
+                let mut obf = Obfuscator::with_faults(stack(), mechanism, cfg, 0, plan);
+                drive(&mut obf, 4000, 300.0);
+                assert_eq!(obf.intervals(), 2000, "{name}");
+                assert!(
+                    obf.samples_dropped > 0,
+                    "{name}: the plan must drop samples"
+                );
+                assert_eq!(
+                    obf.daemon.consumed as u64 + obf.samples_dropped,
+                    obf.t as u64,
+                    "{name}: every interval either feeds the mechanism or drops"
+                );
+                if plan.sample_drop >= 0.5 {
+                    assert!(
+                        obf.fallback_intervals > 0,
+                        "{name}: runs of drops must engage the ceiling fallback"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn defense_counters_flush_on_drop() {
+        let plan = FaultPlan {
+            seed: 7,
+            sample_drop: 1.0,
+            ..FaultPlan::none()
+        };
+        let before = aegis_obs::snapshot();
+        let mut obf = Obfuscator::with_faults(
+            stack(),
+            Box::new(ConstantOutput::new(0.5)),
+            ObfuscatorConfig::default(),
+            0,
+            plan,
+        );
+        drive(&mut obf, 40, 100.0);
+        // 20 intervals, all dropped; the ceiling engages from the third.
+        assert_eq!((obf.samples_dropped, obf.fallback_intervals), (20, 18));
+        drop(obf);
+        if !aegis_obs::enabled() {
+            return;
+        }
+        let after = aegis_obs::snapshot();
+        // Other tests share the global registry, so only a lower bound
+        // holds for the deltas.
+        for (name, at_least) in [
+            ("obfuscator.samples_dropped", 20.0),
+            ("obfuscator.fallback_intervals", 18.0),
+        ] {
+            let delta = after.counter(name) - before.counter(name);
+            assert!(delta >= at_least, "{name}: {delta}");
+        }
     }
 
     #[test]

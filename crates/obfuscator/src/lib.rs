@@ -7,7 +7,7 @@
 //!
 //! Architecture (Fig. 7 of the paper): a kernel module monitors the real
 //! HPC values (needed by the d* mechanism) and streams them over a
-//! netlink-style channel to a userspace daemon, whose *noise calculator*
+//! netlink-style feed to a userspace daemon, whose *noise calculator*
 //! draws from a precomputed Laplace buffer and whose *noise injector*
 //! executes the covering [`GadgetStack`] the computed number of times per
 //! interval. The injector runs on the same vCPU as the protected

@@ -12,15 +12,22 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
+# The vendored stand-ins for crates.io packages are not ours to test or
+# lint (vendor/serde carries its own warning).
+VENDORED="--exclude criterion --exclude crossbeam --exclude parking_lot --exclude proptest
+    --exclude rand --exclude serde --exclude serde_derive --exclude serde_json"
+
 echo "== cargo test -q --workspace =="
 # Every crate's own suite, not just the root package's integration tests:
 # the lane-vs-scalar bit-exactness proptests live in crates/microarch,
-# crates/perf and crates/sev. The vendored stand-ins are excluded.
-cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude parking_lot \
-    --exclude proptest --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
+# crates/perf and crates/sev.
+# shellcheck disable=SC2086
+cargo test -q --workspace $VENDORED
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# Tests, benches and examples are linted too, not just the libraries.
+# shellcheck disable=SC2086
+cargo clippy --workspace --all-targets $VENDORED -- -D warnings
 
 echo "== fault matrix (AEGIS_FAULTS=smoke) =="
 # The cross-crate fault-injection properties re-run under the moderate
