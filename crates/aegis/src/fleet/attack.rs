@@ -275,7 +275,7 @@ fn score_cell(
 ///
 /// Acquisition is lane-batched: the `(secret, rep)` units become
 /// contiguous lanes of [`Host::record_trace_multi_batch`], tiled into
-/// [`LANE_TILE_UNITS`]-unit work items over the `aegis-par` pool. Each
+/// `LANE_TILE_UNITS`-unit work items over the `aegis-par` pool. Each
 /// worker folds its tile's pair-aggregate traces into a flat feature
 /// buffer through per-worker scratch — no per-unit host fork, trace
 /// clone, or feature `Vec` is allocated. The result is bit-identical to

@@ -769,8 +769,9 @@ impl FleetSupervisor {
 
     /// Lane-batched sibling of [`FleetSupervisor::record_host_trace`]:
     /// records every replica described by `lanes` on host `h` through
-    /// [`Host::record_trace_multi_batch`] — one [`LaneGuest`] per
-    /// recorded core per replica, the host's clock untouched. Returns
+    /// [`Host::record_trace_multi_batch`] — one
+    /// [`aegis_sev::LaneGuest`] per recorded core per replica, the
+    /// host's clock untouched. Returns
     /// one `Vec<Trace>` per lane, ordered as `cores`, bit-identical to
     /// recording each replica on a detached fork of the shard.
     ///

@@ -15,12 +15,12 @@ use super::{FleetConfig, FleetSupervisor, TenantStatus};
 use crate::error::AegisError;
 use crate::plan::DefensePlan;
 use crate::service::ServiceConfig;
-use aegis_faults::{self as faults, FaultPlan};
+use aegis_faults::FaultPlan;
 use aegis_microarch::MicroArch;
 use aegis_obs as obs;
 use aegis_par::{
-    derive_seed, fingerprint, ArtifactCache, ArtifactKey, Checkpoint, ColumnFrame, ColumnSchema,
-    Columnar, Executor, FrameError, FrameReader,
+    derive_seed, fingerprint, run_checkpointed, ArtifactCache, ArtifactKey, ColumnFrame,
+    ColumnSchema, Columnar, Executor, FrameError, FrameReader, RowLog,
 };
 use aegis_microarch::OriginFilter;
 use aegis_sev::{LaneGuest, PlanSource};
@@ -136,63 +136,44 @@ struct FleetCellLog {
     xt_probes: Vec<f64>,
 }
 
-impl FleetCellLog {
-    fn of(results: &[Result<FleetCellOutcome, AegisError>]) -> FleetCellLog {
-        let mut log = FleetCellLog {
-            policy_tags: Vec::new(),
-            storm_seeds: Vec::new(),
-            protected: Vec::new(),
-            exhausted: Vec::new(),
-            failed: Vec::new(),
-            quarantined: Vec::new(),
-            stranded: Vec::new(),
-            evacuations: Vec::new(),
-            crashes: Vec::new(),
-            degrades: Vec::new(),
-            epsilon_spent: Vec::new(),
-            xt_probes: Vec::new(),
-        };
-        for c in results.iter().flatten() {
-            log.policy_tags.push(c.policy.tag());
-            log.storm_seeds.push(c.storm_seed);
-            log.protected.push(c.protected);
-            log.exhausted.push(c.exhausted);
-            log.failed.push(c.failed);
-            log.quarantined.push(c.quarantined);
-            log.stranded.push(c.stranded);
-            log.evacuations.push(c.evacuations);
-            log.crashes.push(c.crashes);
-            log.degrades.push(c.degrades);
-            log.epsilon_spent.push(c.epsilon_spent);
-            log.xt_probes.push(c.xt_probe);
+impl RowLog for FleetCellLog {
+    type Row = FleetCellOutcome;
+
+    fn of(rows: &[FleetCellOutcome]) -> FleetCellLog {
+        let column = |field: fn(&FleetCellOutcome) -> u64| rows.iter().map(field).collect();
+        FleetCellLog {
+            policy_tags: column(|c| c.policy.tag()),
+            storm_seeds: column(|c| c.storm_seed),
+            protected: column(|c| c.protected),
+            exhausted: column(|c| c.exhausted),
+            failed: column(|c| c.failed),
+            quarantined: column(|c| c.quarantined),
+            stranded: column(|c| c.stranded),
+            evacuations: column(|c| c.evacuations),
+            crashes: column(|c| c.crashes),
+            degrades: column(|c| c.degrades),
+            epsilon_spent: rows.iter().map(|c| c.epsilon_spent).collect(),
+            xt_probes: rows.iter().map(|c| c.xt_probe).collect(),
         }
-        log
     }
 
-    fn len(&self) -> usize {
-        self.policy_tags.len()
-    }
-
-    fn into_results(self) -> impl Iterator<Item = Result<FleetCellOutcome, AegisError>> {
-        (0..self.len())
-            .map(move |i| {
-                Ok(FleetCellOutcome {
-                    policy: PlacementPolicy::ALL[self.policy_tags[i] as usize],
-                    storm_seed: self.storm_seeds[i],
-                    protected: self.protected[i],
-                    exhausted: self.exhausted[i],
-                    failed: self.failed[i],
-                    quarantined: self.quarantined[i],
-                    stranded: self.stranded[i],
-                    evacuations: self.evacuations[i],
-                    crashes: self.crashes[i],
-                    degrades: self.degrades[i],
-                    epsilon_spent: self.epsilon_spent[i],
-                    xt_probe: self.xt_probes[i],
-                })
+    fn into_rows(self) -> Vec<FleetCellOutcome> {
+        (0..self.policy_tags.len())
+            .map(|i| FleetCellOutcome {
+                policy: PlacementPolicy::ALL[self.policy_tags[i] as usize],
+                storm_seed: self.storm_seeds[i],
+                protected: self.protected[i],
+                exhausted: self.exhausted[i],
+                failed: self.failed[i],
+                quarantined: self.quarantined[i],
+                stranded: self.stranded[i],
+                evacuations: self.evacuations[i],
+                crashes: self.crashes[i],
+                degrades: self.degrades[i],
+                epsilon_spent: self.epsilon_spent[i],
+                xt_probe: self.xt_probes[i],
             })
-            .collect::<Vec<_>>()
-            .into_iter()
+            .collect()
     }
 }
 
@@ -383,10 +364,9 @@ fn run_cell(
 
 /// Evaluates the whole (policy × storm seed) grid, sharded over the
 /// worker pool, checkpointing through `cache` under an active ambient
-/// fault plan exactly like the defense sweep: worker-count-sized
-/// chunks, a [`Checkpoint`]`<FleetCellLog>` persisted after each, and
-/// the plan's `sweep_kill_after` site aborting a first run so the
-/// resumed one completes bit-identically.
+/// fault plan exactly like the defense sweep: worker-count-sized chunks
+/// through [`run_checkpointed`], whose `kill_after` point aborts a first
+/// run so the resumed one completes bit-identically.
 ///
 /// # Errors
 ///
@@ -410,54 +390,24 @@ pub fn fleet_sweep(
         .collect();
     span.set_sim_ns(cfg.steps * cfg.step_ns * units.len() as u64);
     let ckpt_key = ArtifactKey::of("fleet-sweep-ckpt", &fleet_sweep_fingerprint(cfg));
-    let ambient = cache.fault_plan();
-    let checkpointing = ambient.is_active();
-    let mut results: Vec<Result<FleetCellOutcome, AegisError>> = Vec::with_capacity(units.len());
-    let mut resume_from = 0usize;
-    if checkpointing {
-        if let Some(ck) = cache.get_col::<Checkpoint<FleetCellLog>>(&ckpt_key) {
-            let completed = ck.completed as usize;
-            if ck.payload.len() == completed && completed <= units.len() {
-                resume_from = completed;
-                results.extend(ck.payload.into_results());
-                obs::counter_add("fleet.sweep.ckpt_resumed", 1.0);
-                faults::report("fleet", "sweep_resume", &[("completed", resume_from as u64)]);
-            }
-        }
-    }
-    let kill_at = ambient.sweep_kill_after as usize;
-    let kill_armed = checkpointing && kill_at > 0 && resume_from < kill_at;
-    let chunk_len = if checkpointing {
-        Executor::from_config().threads().max(1)
-    } else {
-        units.len()
-    };
-    let mut done = resume_from;
-    while done < units.len() {
-        let end = (done + chunk_len).min(units.len());
-        let chunk: Vec<Result<FleetCellOutcome, AegisError>> = Executor::from_config().map_with(
-            units[done..end].to_vec(),
-            |_worker| (),
-            |(), _unit, (policy, storm_seed)| run_cell(cfg, policy, storm_seed, plan, app),
-        );
-        let failed = chunk.iter().any(Result::is_err);
-        results.extend(chunk);
-        if failed {
-            break;
-        }
-        done = end;
-        if checkpointing {
-            let _ = cache.put_col(
-                &ckpt_key,
-                &Checkpoint::new(done as u64, FleetCellLog::of(&results)),
-            );
-            if kill_armed && done >= kill_at {
-                faults::report("fleet", "sweep_kill", &[("completed", done as u64)]);
-                panic!("aegis-faults: injected sweep kill after {done} completed fleet cells");
-            }
-        }
-    }
-    let cells = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let cells = run_checkpointed::<FleetCellLog, _, AegisError, _>(
+        cache,
+        &cache.fault_plan(),
+        &ckpt_key,
+        "fleet.sweep",
+        &units,
+        Executor::from_config().threads(),
+        |chunk| {
+            Executor::from_config()
+                .map_with(
+                    chunk.to_vec(),
+                    |_worker| (),
+                    |(), _unit, (policy, storm_seed)| run_cell(cfg, policy, storm_seed, plan, app),
+                )
+                .into_iter()
+                .collect()
+        },
+    )?;
     obs::counter_add("fleet.sweep.cells", cells.len() as f64);
     Ok(FleetSweepOutcome { cells })
 }
@@ -515,8 +465,7 @@ mod tests {
             epsilon_spent: 6.5,
             xt_probe: 123.5,
         };
-        let log = FleetCellLog::of(&[Ok(cell)]);
-        let back: Vec<_> = log.into_results().map(Result::unwrap).collect();
-        assert_eq!(back, vec![cell]);
+        let log = FleetCellLog::of(&[cell]);
+        assert_eq!(log.into_rows(), vec![cell]);
     }
 }

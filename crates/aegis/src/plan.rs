@@ -78,7 +78,7 @@ impl DefensePlan {
     }
 
     /// Writes the plan as pretty-printed JSON inside a versioned envelope
-    /// (`schema_version` [`PLAN_SCHEMA_VERSION`]), creating parent
+    /// (`schema_version` `PLAN_SCHEMA_VERSION`), creating parent
     /// directories as needed.
     ///
     /// # Errors

@@ -234,7 +234,7 @@ impl EpsilonLedger {
     }
 
     /// Clean shutdown: releases the gc pin taken by the first persisted
-    /// write (see [`EpsilonLedger::persist`]). After `close` the record
+    /// write (see `EpsilonLedger::persist`). After `close` the record
     /// is subject to normal store retention; a ledger dropped *without*
     /// `close` (a crash) keeps its pin, so the spend record survives any
     /// gc that runs before the next open.

@@ -28,13 +28,13 @@
 //! thin start → profile → shutdown sequence over this same plane, so
 //! the batch and service paths cannot drift.
 //!
-//! Internally the plane's state machine lives in [`ServicePlane`],
+//! Internally the plane's state machine lives in `ServicePlane`,
 //! which takes the host as an explicit parameter on every call instead
 //! of borrowing it. [`ServiceHandle`] pairs one plane with an exclusive
 //! host borrow (the single-host API above); `aegis::fleet` owns many
 //! `(Host, ServicePlane)` pairs and drives them under one fleet
 //! supervisor, sharing tenant ε accounts across hosts through
-//! [`LedgerSlot::Shared`].
+//! `LedgerSlot::Shared`.
 
 mod ledger;
 mod supervisor;

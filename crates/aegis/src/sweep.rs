@@ -16,9 +16,9 @@
 //!   columnar `.acs` format whose pages are bit-exact images of the
 //!   in-memory `f64`/`u64` buffers — a warm-cache run is bit-identical
 //!   to a cold one and loads each artifact as a handful of bulk reads;
-//! * under an active fault plan the grid is chunked through a generic
-//!   [`Checkpoint`] (the same machinery the fuzzer's recording pass
-//!   uses), so a run killed mid-grid resumes to a bit-identical
+//! * under an active fault plan the grid runs in worker-count chunks
+//!   through [`run_checkpointed`] (the same loop the fuzzer's recording
+//!   pass uses), so a run killed mid-grid resumes to a bit-identical
 //!   [`SweepOutcome`];
 //! * its wall time is attributed by `aegis-obs` spans: `sweep.cell`
 //!   around the whole cell, with the nested `collect.dataset` /
@@ -35,12 +35,11 @@ use crate::evaluate::{
 };
 use crate::pipeline::{DefenseDeployment, MechanismChoice};
 use aegis_attack::TrainConfig;
-use aegis_faults as faults;
 use aegis_microarch::EventId;
 use aegis_obs as obs;
 use aegis_par::{
-    derive_seed, fingerprint, ArtifactCache, ArtifactKey, Checkpoint, ColumnFrame, ColumnSchema,
-    Columnar, Executor, FrameError, FrameReader,
+    derive_seed, fingerprint, run_checkpointed, ArtifactCache, ArtifactKey, ColumnFrame,
+    ColumnSchema, Columnar, Executor, FrameError, FrameReader, RowLog,
 };
 use aegis_sev::{Host, VmId};
 use aegis_workloads::{DnnZoo, SecretApp};
@@ -152,39 +151,31 @@ where
 }
 
 /// The checkpointable payload of a partially evaluated grid: per-cell
-/// accuracy and cache traffic, in unit order. Only fully evaluated
-/// (all-`Ok`) prefixes are ever persisted.
+/// accuracy and cache traffic, in unit order.
 struct CellLog {
     acc: Vec<f64>,
     hits: Vec<u64>,
     misses: Vec<u64>,
 }
 
-impl CellLog {
-    fn of(results: &[Result<(f64, CellStats), AegisError>]) -> CellLog {
-        let mut log = CellLog {
-            acc: Vec::with_capacity(results.len()),
-            hits: Vec::with_capacity(results.len()),
-            misses: Vec::with_capacity(results.len()),
-        };
-        for (acc, stats) in results.iter().flatten() {
-            log.acc.push(*acc);
-            log.hits.push(stats.hits);
-            log.misses.push(stats.misses);
+impl RowLog for CellLog {
+    type Row = (f64, CellStats);
+
+    fn of(rows: &[(f64, CellStats)]) -> CellLog {
+        CellLog {
+            acc: rows.iter().map(|(acc, _)| *acc).collect(),
+            hits: rows.iter().map(|(_, stats)| stats.hits).collect(),
+            misses: rows.iter().map(|(_, stats)| stats.misses).collect(),
         }
-        log
     }
 
-    fn len(&self) -> usize {
-        self.acc.len()
-    }
-
-    fn into_results(self) -> impl Iterator<Item = Result<(f64, CellStats), AegisError>> {
+    fn into_rows(self) -> Vec<(f64, CellStats)> {
         self.acc
             .into_iter()
             .zip(self.hits)
             .zip(self.misses)
-            .map(|((acc, hits), misses)| Ok((acc, CellStats { hits, misses })))
+            .map(|((acc, hits), misses)| (acc, CellStats { hits, misses }))
+            .collect()
     }
 }
 
@@ -230,68 +221,6 @@ fn sweep_fingerprint(cfg: &SweepConfig) -> u64 {
     ))
 }
 
-/// Evaluates `units` through `eval_chunk`, checkpointing under an
-/// active fault plan: the grid is split into worker-count-sized chunks
-/// and a [`Checkpoint`]`<`[`CellLog`]`>` is persisted after each, so a
-/// killed run resumes where it died with bit-identical results (cell
-/// results are pure functions of their unit, never of the chunking).
-/// The plan's `sweep_kill_after` site aborts the run after that many
-/// completed cells — only on a run starting *before* the kill point, so
-/// the resumed run sails past it and completes.
-fn run_cells<F>(
-    cache: &ArtifactCache,
-    ckpt_key: &ArtifactKey,
-    units: &[(f64, usize)],
-    eval_chunk: F,
-) -> Vec<Result<(f64, CellStats), AegisError>>
-where
-    F: Fn(Vec<(f64, usize)>) -> Vec<Result<(f64, CellStats), AegisError>>,
-{
-    let plan = cache.fault_plan();
-    let checkpointing = plan.is_active() && !units.is_empty();
-    let mut results: Vec<Result<(f64, CellStats), AegisError>> = Vec::with_capacity(units.len());
-    let mut resume_from = 0usize;
-    if checkpointing {
-        if let Some(ck) = cache.get_col::<Checkpoint<CellLog>>(ckpt_key) {
-            let completed = ck.completed as usize;
-            if ck.payload.len() == completed && completed <= units.len() {
-                resume_from = completed;
-                results.extend(ck.payload.into_results());
-                obs::counter_add("sweep.ckpt_resumed", 1.0);
-                faults::report("sweep", "resume", &[("completed", resume_from as u64)]);
-            }
-        }
-    }
-    let kill_at = plan.sweep_kill_after as usize;
-    let kill_armed = checkpointing && kill_at > 0 && resume_from < kill_at;
-    let chunk_len = if checkpointing {
-        Executor::from_config().threads().max(1)
-    } else {
-        units.len().max(1)
-    };
-    let mut done = resume_from;
-    while done < units.len() {
-        let end = (done + chunk_len).min(units.len());
-        let chunk = eval_chunk(units[done..end].to_vec());
-        let failed = chunk.iter().any(Result::is_err);
-        results.extend(chunk);
-        if failed {
-            // `assemble` surfaces the error; a failed chunk is never
-            // checkpointed (errors are not serializable results).
-            break;
-        }
-        done = end;
-        if checkpointing {
-            let _ = cache.put_col(ckpt_key, &Checkpoint::new(done as u64, CellLog::of(&results)));
-            if kill_armed && done >= kill_at {
-                faults::report("sweep", "kill", &[("completed", done as u64)]);
-                panic!("aegis-faults: injected sweep kill after {done} completed cells");
-            }
-        }
-    }
-    results
-}
-
 /// The seed of one grid cell: a pure function of the sweep seed, the ε
 /// value, and the mechanism index — independent of grid position and
 /// worker assignment.
@@ -312,17 +241,13 @@ fn grid_units(cfg: &SweepConfig) -> Vec<(f64, usize)> {
 }
 
 /// Assembles per-cell results (in grid order) into a [`SweepOutcome`].
-fn assemble(
-    units: Vec<(f64, usize)>,
-    results: Vec<Result<(f64, CellStats), AegisError>>,
-) -> Result<SweepOutcome, AegisError> {
+fn assemble(units: Vec<(f64, usize)>, results: Vec<(f64, CellStats)>) -> SweepOutcome {
     let mut out = SweepOutcome {
         cells: Vec::with_capacity(units.len()),
         cache_hits: 0,
         cache_misses: 0,
     };
-    for ((eps, mech_idx), result) in units.into_iter().zip(results) {
-        let (accuracy, stats) = result?;
+    for ((eps, mech_idx), (accuracy, stats)) in units.into_iter().zip(results) {
         out.cache_hits += stats.hits;
         out.cache_misses += stats.misses;
         out.cells.push(SweepCell {
@@ -331,7 +256,7 @@ fn assemble(
             accuracy,
         });
     }
-    Ok(out)
+    out
 }
 
 /// Runs the classification sweep (WFA/KSA rows of Fig. 9a/b): for every
@@ -375,9 +300,9 @@ pub fn classification_sweep(
             sweep_fingerprint(cfg),
         ),
     );
-    let eval = |chunk: Vec<(f64, usize)>| {
+    let eval = |chunk: &[(f64, usize)]| {
         Executor::from_config().map_with(
-            chunk,
+            chunk.to_vec(),
             |_worker| {
                 let pristine = snapshot.fork_detached();
                 let arena = pristine.fork_detached();
@@ -468,8 +393,16 @@ pub fn classification_sweep(
             },
         )
     };
-    let results = run_cells(cache, &ckpt_key, &units, eval);
-    assemble(units, results)
+    let results = run_checkpointed::<CellLog, _, AegisError, _>(
+        cache,
+        &cache.fault_plan(),
+        &ckpt_key,
+        "sweep",
+        &units,
+        Executor::from_config().threads(),
+        |chunk| eval(chunk).into_iter().collect(),
+    )?;
+    Ok(assemble(units, results))
 }
 
 /// Runs the model-extraction sweep (MEA row of Fig. 9a): for every
@@ -504,9 +437,9 @@ pub fn mea_sweep(
             sweep_fingerprint(cfg),
         ),
     );
-    let eval = |chunk: Vec<(f64, usize)>| {
+    let eval = |chunk: &[(f64, usize)]| {
         Executor::from_config().map_with(
-            chunk,
+            chunk.to_vec(),
             |_worker| {
                 let pristine = snapshot.fork_detached();
                 let arena = pristine.fork_detached();
@@ -593,8 +526,16 @@ pub fn mea_sweep(
             },
         )
     };
-    let results = run_cells(cache, &ckpt_key, &units, eval);
-    assemble(units, results)
+    let results = run_checkpointed::<CellLog, _, AegisError, _>(
+        cache,
+        &cache.fault_plan(),
+        &ckpt_key,
+        "sweep",
+        &units,
+        Executor::from_config().threads(),
+        |chunk| eval(chunk).into_iter().collect(),
+    )?;
+    Ok(assemble(units, results))
 }
 
 /// Cache key of one collected classification dataset: the complete set
@@ -809,7 +750,7 @@ mod tests {
         // Kill the grid mid-run, then resume it from the persisted
         // checkpoint in the same cache.
         let kill_plan = FaultPlan {
-            sweep_kill_after: 2,
+            kill_after: 2,
             ..base
         };
         let dir_kill = tmp("kill");

@@ -114,14 +114,10 @@ pub struct FaultPlan {
     /// Probability per `ArtifactCache::put` that the write is torn
     /// (legacy non-atomic path: truncated JSON at the final path).
     pub cache_torn: f64,
-    /// If nonzero, `EventFuzzer::run` aborts the process-visible run
-    /// (panics) after this many recording sessions — used to exercise
-    /// checkpoint/resume.
-    pub fuzz_kill_after: u64,
-    /// If nonzero, `aegis::sweep` grid runs abort (panic) after this
-    /// many completed cells — used to exercise the generic sweep
-    /// checkpoint/resume path.
-    pub sweep_kill_after: u64,
+    /// If nonzero, whichever checkpointed grid is running (the fuzzer's
+    /// recording pass, an ε-sweep, a fleet sweep) aborts (panics) after
+    /// this many completed units — used to exercise checkpoint/resume.
+    pub kill_after: u64,
     /// Probability per service-plane health check that a healthy
     /// session is spuriously reported unhealthy (watchdog flap).
     pub health_flap: f64,
@@ -163,8 +159,7 @@ impl FaultPlan {
             tick_jitter: 0.0,
             sample_drop: 0.0,
             cache_torn: 0.0,
-            fuzz_kill_after: 0,
-            sweep_kill_after: 0,
+            kill_after: 0,
             health_flap: 0.0,
             reload_torn: 0.0,
             ledger_corrupt: 0.0,
@@ -191,8 +186,7 @@ impl FaultPlan {
             tick_jitter: 0.01,
             sample_drop: 0.05,
             cache_torn: 0.1,
-            fuzz_kill_after: 0,
-            sweep_kill_after: 0,
+            kill_after: 0,
             health_flap: 0.05,
             reload_torn: 0.1,
             ledger_corrupt: 0.05,
@@ -214,8 +208,7 @@ impl FaultPlan {
             || self.tick_jitter > 0.0
             || self.sample_drop > 0.0
             || self.cache_torn > 0.0
-            || self.fuzz_kill_after > 0
-            || self.sweep_kill_after > 0
+            || self.kill_after > 0
             || self.health_flap > 0.0
             || self.reload_torn > 0.0
             || self.ledger_corrupt > 0.0
@@ -264,8 +257,7 @@ impl FaultPlan {
                 "tick_jitter" => plan.tick_jitter = f()?,
                 "sample_drop" => plan.sample_drop = f()?,
                 "cache_torn" => plan.cache_torn = f()?,
-                "fuzz_kill_after" => plan.fuzz_kill_after = u()?,
-                "sweep_kill_after" => plan.sweep_kill_after = u()?,
+                "kill_after" => plan.kill_after = u()?,
                 "health_flap" => plan.health_flap = f()?,
                 "reload_torn" => plan.reload_torn = f()?,
                 "ledger_corrupt" => plan.ledger_corrupt = f()?,
@@ -442,6 +434,20 @@ mod tests {
         assert_eq!(p.pmc_program_fail, 0.5);
         assert_eq!(p.counter_corrupt, 0.0);
         assert!(FaultPlan::parse("bogus").is_err());
+    }
+
+    #[test]
+    fn one_kill_knob_parses_and_activates() {
+        let p = FaultPlan::parse(r#"{"kill_after": 3}"#).unwrap();
+        assert_eq!(p.kill_after, 3);
+        assert!(p.is_active(), "a kill point alone arms checkpointing");
+        for old in ["fuzz_kill_after", "sweep_kill_after"] {
+            let json = format!("{{\"{old}\": 3}}");
+            assert!(
+                FaultPlan::parse(&json).is_err(),
+                "{old} is no longer a knob"
+            );
+        }
     }
 
     #[test]

@@ -11,11 +11,12 @@ use aegis_faults::{self as faults, FaultPlan};
 use aegis_isa::IsaCatalog;
 use aegis_microarch::{noise_base_for_seed, Core, CoreBatch, EventId};
 use aegis_obs as obs;
-use aegis_par::{derive_seed, ArtifactCache, ArtifactKey, Checkpoint, Executor};
+use aegis_par::{derive_seed, run_checkpointed, ArtifactCache, ArtifactKey, Executor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,7 +27,7 @@ const STREAM_POOL: u64 = 0x11;
 /// Stream tag for per-candidate recording sessions (vectorized path).
 const STREAM_SESSION: u64 = 0x12;
 
-/// Candidates recorded between two [`FuzzCheckpoint`] persists when the
+/// Candidates recorded between two checkpoint persists when the
 /// crash-safety harness (an active fault plan) is armed.
 const CKPT_CHUNK: usize = 32;
 
@@ -142,9 +143,10 @@ impl EventFuzzer {
 
     /// Creates a fuzzer with an explicit cache and fault plan. An active
     /// plan arms the crash-safety harness: the recording pass persists a
-    /// [`FuzzCheckpoint`] every [`CKPT_CHUNK`] candidates and report
-    /// timings move to the simulated clock, so a killed run resumes to a
-    /// bit-identical [`FuzzOutcome`].
+    /// checkpoint every `CKPT_CHUNK` candidates (through
+    /// [`aegis_par::run_checkpointed`]) and report timings move to the
+    /// simulated clock, so a killed run resumes to a bit-identical
+    /// [`FuzzOutcome`].
     pub fn with_faults(config: FuzzerConfig, cache: ArtifactCache, plan: FaultPlan) -> Self {
         EventFuzzer {
             config,
@@ -258,40 +260,14 @@ impl EventFuzzer {
                 format!("{:?}", core.arch()),
             ),
         );
-        let mut traces: Vec<RecordedTrace> = Vec::with_capacity(pool.len());
-        let mut resume_from = 0usize;
-        if checkpointing {
-            if let Some(ck) = self.cache.get_col::<Checkpoint<TraceLog>>(&ckpt_key) {
-                let completed = ck.completed as usize;
-                if ck.payload.0.len() == completed && completed <= pool.len() {
-                    resume_from = completed;
-                    traces = ck.payload.0;
-                    obs::counter_add("fuzz.ckpt_resumed", 1.0);
-                    faults::report("fuzz", "resume", &[("completed", resume_from as u64)]);
-                }
-            }
-        }
-        let kill_at = self.faults.fuzz_kill_after as usize;
-        // The kill fires only on a run that starts *before* the kill
-        // point: the resumed run sails past it and completes.
-        let kill_armed = checkpointing && kill_at > 0 && resume_from < kill_at;
-
         let baseline: &Core = core;
         let record_units: Vec<(usize, Gadget)> = pool.iter().copied().enumerate().collect();
-        let chunk_len = if checkpointing {
-            CKPT_CHUNK
-        } else {
-            record_units.len().max(1)
-        };
-        let mut done = resume_from;
-        while done < record_units.len() {
-            let end = (done + chunk_len).min(record_units.len());
-            // Lane-parallel recording: each worker drives a CoreBatch of
-            // up to LANE_WIDTH candidate sessions, reusing one arena
-            // across blocks. Lane seeds are keyed by *absolute* candidate
-            // index, so neither the worker count nor the lane width can
-            // perturb a single trace.
-            let blocks: Vec<Vec<(usize, Gadget)>> = record_units[done..end]
+        // Lane-parallel recording: each worker drives a CoreBatch of up to
+        // LANE_WIDTH candidate sessions, reusing one arena across blocks.
+        // Lane seeds are keyed by *absolute* candidate index, so neither
+        // the worker count nor the lane width can perturb a single trace.
+        let record_chunk = |chunk: &[(usize, Gadget)]| -> Result<_, Infallible> {
+            let blocks: Vec<Vec<(usize, Gadget)>> = chunk
                 .chunks(LANE_WIDTH)
                 .map(<[(usize, Gadget)]>::to_vec)
                 .collect();
@@ -334,22 +310,18 @@ impl EventFuzzer {
                     rec.finish()
                 },
             );
-            for mut block in block_traces {
-                traces.append(&mut block);
-            }
-            done = end;
-            if checkpointing {
-                let _ = self
-                    .cache
-                    .put_col(&ckpt_key, &Checkpoint::new(done as u64, TraceLog(traces.clone())));
-                if kill_armed && done >= kill_at {
-                    faults::report("fuzz", "kill", &[("completed", done as u64)]);
-                    panic!(
-                        "aegis-faults: injected fuzzer kill after {done} recorded candidates"
-                    );
-                }
-            }
-        }
+            Ok(block_traces.into_iter().flatten().collect())
+        };
+        let traces = run_checkpointed::<TraceLog, _, _, _>(
+            &self.cache,
+            &self.faults,
+            &ckpt_key,
+            "fuzz",
+            &record_units,
+            CKPT_CHUNK,
+            record_chunk,
+        )
+        .unwrap_or_else(|never| match never {});
         let record_elapsed = record_span.finish();
 
         // The shared recording cost enters the report exactly once, split
@@ -979,7 +951,7 @@ mod tests {
         // Kill the run mid-recording, then resume it from the persisted
         // checkpoint in the same cache.
         let kill_plan = FaultPlan {
-            fuzz_kill_after: 64,
+            kill_after: 64,
             ..base
         };
         let dir_kill = tmp("kill");

@@ -117,7 +117,7 @@ const WINDOW_STRIDE: usize = 2 * Feature::COUNT;
 
 /// A recorded measurement session: per-window activity sums at the
 /// fence-delimited positions where the scalar protocol resets and reads
-/// the counter, stored flat ([`WINDOW_STRIDE`] f64s per window) so the
+/// the counter, stored flat (`WINDOW_STRIDE` f64s per window) so the
 /// batched recorder's `finish` is a buffer move rather than a re-copy.
 ///
 /// Recording pays the core simulation once; any number of events can then
@@ -142,6 +142,18 @@ pub struct RecordedTrace {
 /// contiguous reads instead of a JSON tree per window.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceLog(pub Vec<RecordedTrace>);
+
+impl aegis_par::RowLog for TraceLog {
+    type Row = RecordedTrace;
+
+    fn of(rows: &[RecordedTrace]) -> Self {
+        TraceLog(rows.to_vec())
+    }
+
+    fn into_rows(self) -> Vec<RecordedTrace> {
+        self.0
+    }
+}
 
 impl aegis_par::Columnar for TraceLog {
     fn schema() -> aegis_par::ColumnSchema {

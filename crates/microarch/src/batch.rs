@@ -630,7 +630,7 @@ impl CoreBatch {
     /// deterministic given its instruction ids and the low-line cache
     /// state, except for its Bernoulli draws. The first execution of each
     /// `(ids, cache)` key captures that deterministic replay by running
-    /// the shared [`instr_step`] kernel against a counting probe;
+    /// the shared `instr_step` kernel against a counting probe;
     /// subsequent executions check the draw plan against the lane's real
     /// streams (identical per-site consumption, so lane state cannot
     /// drift) and, when no draw fires — the overwhelmingly common case on

@@ -15,12 +15,12 @@
 //! 3. **Index-ordered results** ([`Executor::map`]): results are returned
 //!    in input order no matter which worker finished first.
 //!
-//! The [`cache`] module adds a keyed artifact cache so expensive seeded
-//! computations (cleanup fuzzing, clean trace datasets) are memoized
-//! across runs of the CLI and experiment binaries; the [`store`] module
+//! [`ArtifactCache`] memoizes expensive seeded computations (cleanup
+//! fuzzing, clean trace datasets) across runs of the CLI and
+//! experiment binaries; the [`store`] module
 //! is its engine — the columnar `.acs` binary format ([`Columnar`]),
 //! the generation/ref-count manifest with `gc`, and generic
-//! [`Checkpoint`] resume.
+//! [`Checkpoint`] resume through [`run_checkpointed`].
 
 mod cache;
 mod executor;
@@ -31,6 +31,6 @@ pub use cache::{fingerprint, ArtifactCache};
 pub use executor::{available_threads, get_threads, set_threads, Executor, Feed};
 pub use seed::{derive_seed, splitmix64};
 pub use store::{
-    ArtifactKey, Checkpoint, ColumnFrame, ColumnSchema, Columnar, FrameError, FrameReader,
-    GcReport, Manifest,
+    run_checkpointed, ArtifactKey, Checkpoint, ColumnFrame, ColumnSchema, Columnar, FrameError,
+    FrameReader, GcReport, Manifest, RowLog,
 };

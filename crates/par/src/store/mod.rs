@@ -10,7 +10,8 @@
 //!   gives the store an explicit [`Manifest::gc`] entry point with a
 //!   size budget, and fails closed when corrupt.
 //! - [`checkpoint`]: [`Checkpoint`], the generic resumable-partial-
-//!   result wrapper any chunked computation persists through the store.
+//!   result wrapper, and [`run_checkpointed`], the one resume loop every
+//!   chunked grid runs through.
 //!
 //! [`crate::ArtifactCache`] composes all three behind its `get_col` /
 //! `put_col` / `pin` / `gc` methods.
@@ -19,7 +20,7 @@ pub mod checkpoint;
 pub mod columnar;
 pub mod manifest;
 
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{run_checkpointed, Checkpoint, RowLog};
 pub use columnar::{
     decode_frame, encode_frame, usize_from_u64, ColumnFrame, ColumnSchema, Columnar, FrameError,
     FrameReader,

@@ -642,7 +642,7 @@ impl Host {
     /// per-tick faults (timing jitter, injector stall/detach) and runs
     /// the supervision layer: a watchdog counts consecutive ticks the
     /// injector was denied cycles or self-reported degraded, and after
-    /// [`WATCHDOG_TICKS`] latches the core's guest-visible counters
+    /// `WATCHDOG_TICKS` latches the core's guest-visible counters
     /// fail-closed (releasing the latch once the injector is healthy
     /// again). Fault draws come from per-core keyed streams, so the
     /// schedule is identical at any worker count; with an inert plan no

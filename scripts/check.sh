@@ -14,20 +14,25 @@ cargo build --release --workspace
 
 # The vendored stand-ins for crates.io packages are not ours to test or
 # lint (vendor/serde carries its own warning).
-VENDORED="--exclude criterion --exclude crossbeam --exclude parking_lot --exclude proptest
-    --exclude rand --exclude serde --exclude serde_derive --exclude serde_json"
+VENDORED="--exclude criterion --exclude crossbeam --exclude proptest --exclude rand
+    --exclude serde --exclude serde_derive --exclude serde_json"
 
-echo "== cargo test -q --workspace =="
-# Every crate's own suite, not just the root package's integration tests:
-# the lane-vs-scalar bit-exactness proptests live in crates/microarch,
+echo "== cargo test -q =="
+# The workspace's default members are the root package plus every
+# first-party crate, so this runs each crate's own suite too: the
+# lane-vs-scalar bit-exactness proptests live in crates/microarch,
 # crates/perf and crates/sev.
-# shellcheck disable=SC2086
-cargo test -q --workspace $VENDORED
+cargo test -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 # Tests, benches and examples are linted too, not just the libraries.
 # shellcheck disable=SC2086
 cargo clippy --workspace --all-targets $VENDORED -- -D warnings
+
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps =="
+# Public docs must resolve every intra-doc link and link no private item.
+# shellcheck disable=SC2086
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps $VENDORED
 
 echo "== fault matrix (AEGIS_FAULTS=smoke) =="
 # The cross-crate fault-injection properties re-run under the moderate

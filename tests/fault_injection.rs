@@ -202,7 +202,7 @@ fn inert_plan_is_bit_identical_to_the_default_host() {
 #[test]
 fn killed_fuzz_run_resumes_bit_identically_through_the_facade() {
     // Crash-safe fuzzing end-to-end via the public re-exports: a run
-    // killed mid-recording by the fuzz_kill_after site resumes from its
+    // killed mid-recording by the kill_after site resumes from its
     // persisted checkpoint and produces the same FuzzOutcome as an
     // uninterrupted run under the same (active) plan.
     let cfg = FuzzerConfig {
@@ -235,7 +235,7 @@ fn killed_fuzz_run_resumes_bit_identically_through_the_facade() {
     let reference = run_with(base, &dir_ref);
 
     let kill_plan = FaultPlan {
-        fuzz_kill_after: 64,
+        kill_after: 64,
         ..base
     };
     let dir_kill = tmp("kill");

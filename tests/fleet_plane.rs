@@ -566,7 +566,7 @@ fn killed_fleet_sweep_resumes_bit_identically() {
     let kill_plan = FaultPlan {
         seed: 5,
         tick_jitter: 0.5,
-        sweep_kill_after: 2,
+        kill_after: 2,
         ..FaultPlan::none()
     };
     let dir = temp_dir("sweep-kill");
