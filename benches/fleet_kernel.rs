@@ -172,8 +172,8 @@ struct XtFixture {
     /// One victim plan per lane, shared by both paths.
     victim_plans: Vec<WorkloadPlan>,
     /// Per lane, one plan per bystander — replayed by the scalar path
-    /// only, exactly as `cross_tenant_accuracy_scalar` re-attaches them
-    /// per fork.
+    /// only, exactly as the fleet crate's test-only per-fork oracle
+    /// re-attaches them per fork.
     decoy_plans: Vec<Vec<WorkloadPlan>>,
 }
 

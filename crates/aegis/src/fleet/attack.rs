@@ -26,9 +26,10 @@
 //! `fork_detached` host per unit. Lane tiles are sharded over the
 //! `aegis-par` pool with per-unit derived seeds — bit-identical at any
 //! worker count and bit-identical to the scalar per-fork reference
-//! ([`cross_tenant_accuracy_scalar`]), which stays behind as the pinned
-//! oracle. Both paths always run under an inert fault plan so accuracy
-//! tables never depend on the ambient `AEGIS_FAULTS` environment.
+//! (`cross_tenant_accuracy_scalar`), which the unit tests keep as the
+//! pinned oracle. Both paths always run under an inert fault plan so
+//! accuracy tables never depend on the ambient `AEGIS_FAULTS`
+//! environment.
 
 use super::placement::{FleetTopology, PlacementPolicy, Scheduler};
 use crate::error::AegisError;
@@ -279,7 +280,7 @@ fn score_cell(
 /// worker folds its tile's pair-aggregate traces into a flat feature
 /// buffer through per-worker scratch — no per-unit host fork, trace
 /// clone, or feature `Vec` is allocated. The result is bit-identical to
-/// [`cross_tenant_accuracy_scalar`].
+/// the scalar per-fork reference the unit tests keep.
 ///
 /// # Errors
 ///
@@ -355,103 +356,6 @@ pub fn cross_tenant_accuracy(
     Ok(score_cell(policy, s.co_resident, cfg, &train, &test))
 }
 
-/// The scalar per-fork reference for [`cross_tenant_accuracy`]: one
-/// `fork_detached` host replica per `(secret, rep)` unit, recorded with
-/// [`Host::record_trace_multi`]. Bit-identical to the batched path (a
-/// unit test pins this) and kept as the oracle the batched recorder is
-/// benchmarked and regression-tested against.
-///
-/// # Errors
-///
-/// Same contract as [`cross_tenant_accuracy`].
-pub fn cross_tenant_accuracy_scalar(
-    policy: PlacementPolicy,
-    app: &dyn SecretApp,
-    defense: Option<&DefenseDeployment>,
-    cfg: &CrossTenantConfig,
-) -> Result<PolicyAttackCell, AegisError> {
-    let mut span = obs::span("fleet.cross_tenant");
-    let s = xt_setup(policy, app, cfg)?;
-    span.set_sim_ns(s.window * s.units.len() as u64);
-    let tenants = cfg.tenants;
-    let (anchor, sibling, events, window, n_secrets) =
-        (s.anchor, s.sibling, s.events, s.window, s.n_secrets);
-    let vms = &s.vms;
-    let snapshot: &Host = &s.host;
-    type FeatureRow = Result<(Vec<f64>, usize, usize), aegis_perf::PerfError>;
-    let rows: Vec<FeatureRow> = Executor::from_config().map_with(
-        s.units.clone(),
-        |_worker| {
-            let pristine = snapshot.fork_detached();
-            let arena = pristine.fork_detached();
-            (pristine, arena, Trace::new(Vec::new(), 1), Vec::new())
-        },
-        |(pristine, replica, agg, feats), unit, (secret, rep)| {
-            pristine.fork_detached_into(replica);
-            // The victim runs the labeled secret and every bystander
-            // an independently drawn decoy. The attacker (tenant 0)
-            // parks its own vCPU — it controls its workload, and
-            // idling maximises the foreign signal in its aggregate.
-            for (j, &vm) in vms.iter().enumerate() {
-                if j == 0 {
-                    continue;
-                }
-                let plan = if j == 1 {
-                    let mut rng = StdRng::seed_from_u64(derive_seed(
-                        cfg.seed,
-                        STREAM_XT_VICTIM,
-                        unit as u64,
-                    ));
-                    app.sample_plan(secret, &mut rng)
-                } else {
-                    let mut rng = StdRng::seed_from_u64(derive_seed(
-                        cfg.seed,
-                        STREAM_XT_DECOY,
-                        (unit * tenants + j) as u64,
-                    ));
-                    let decoy = rng.gen_range(0..n_secrets);
-                    app.sample_plan(decoy, &mut rng)
-                };
-                replica
-                    .attach_app(vm, 0, Box::new(PlanSource::new(plan)))
-                    .expect("ids were validated on the original host");
-            }
-            if let Some(d) = defense {
-                for (j, &vm) in vms.iter().enumerate() {
-                    d.deploy(
-                        replica,
-                        vm,
-                        0,
-                        derive_seed(cfg.seed, STREAM_XT_NOISE, (unit * tenants + j) as u64),
-                    )
-                    .expect("ids were validated on the original host");
-                }
-            }
-            let traces = replica.record_trace_multi(
-                &[anchor, sibling],
-                &events,
-                OriginFilter::Any,
-                cfg.interval_ns,
-                window,
-            )?;
-            sum_traces_into(&traces, agg);
-            trace_features_into(agg, cfg.pool, feats);
-            Ok((feats.clone(), secret, rep))
-        },
-    );
-    let mut train = Dataset::new(Vec::new(), Vec::new(), s.n_secrets);
-    let mut test = Dataset::new(Vec::new(), Vec::new(), s.n_secrets);
-    for row in rows {
-        let (features, secret, rep) = row.map_err(AegisError::from)?;
-        if rep % 2 == 0 {
-            train.push(features, secret);
-        } else {
-            test.push(features, secret);
-        }
-    }
-    Ok(score_cell(policy, s.co_resident, cfg, &train, &test))
-}
-
 /// Runs [`cross_tenant_accuracy`] for each policy — the fleet's
 /// defense-metric table proving which placement knobs move attacker
 /// accuracy.
@@ -493,6 +397,98 @@ fn sum_traces_into(traces: &[Trace], agg: &mut Trace) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scalar per-fork reference for [`cross_tenant_accuracy`]: one
+    /// `fork_detached` host replica per `(secret, rep)` unit, recorded with
+    /// [`Host::record_trace_multi`]. The batched path is pinned bit-identical
+    /// to it.
+    fn cross_tenant_accuracy_scalar(
+        policy: PlacementPolicy,
+        app: &dyn SecretApp,
+        defense: Option<&DefenseDeployment>,
+        cfg: &CrossTenantConfig,
+    ) -> Result<PolicyAttackCell, AegisError> {
+        let mut span = obs::span("fleet.cross_tenant");
+        let s = xt_setup(policy, app, cfg)?;
+        span.set_sim_ns(s.window * s.units.len() as u64);
+        let tenants = cfg.tenants;
+        let (anchor, sibling, events, window, n_secrets) =
+            (s.anchor, s.sibling, s.events, s.window, s.n_secrets);
+        let vms = &s.vms;
+        let snapshot: &Host = &s.host;
+        type FeatureRow = Result<(Vec<f64>, usize, usize), aegis_perf::PerfError>;
+        let rows: Vec<FeatureRow> = Executor::from_config().map_with(
+            s.units.clone(),
+            |_worker| {
+                let pristine = snapshot.fork_detached();
+                let arena = pristine.fork_detached();
+                (pristine, arena, Trace::new(Vec::new(), 1), Vec::new())
+            },
+            |(pristine, replica, agg, feats), unit, (secret, rep)| {
+                pristine.fork_detached_into(replica);
+                // The victim runs the labeled secret and every bystander
+                // an independently drawn decoy. The attacker (tenant 0)
+                // parks its own vCPU — it controls its workload, and
+                // idling maximises the foreign signal in its aggregate.
+                for (j, &vm) in vms.iter().enumerate() {
+                    if j == 0 {
+                        continue;
+                    }
+                    let plan = if j == 1 {
+                        let mut rng = StdRng::seed_from_u64(derive_seed(
+                            cfg.seed,
+                            STREAM_XT_VICTIM,
+                            unit as u64,
+                        ));
+                        app.sample_plan(secret, &mut rng)
+                    } else {
+                        let mut rng = StdRng::seed_from_u64(derive_seed(
+                            cfg.seed,
+                            STREAM_XT_DECOY,
+                            (unit * tenants + j) as u64,
+                        ));
+                        let decoy = rng.gen_range(0..n_secrets);
+                        app.sample_plan(decoy, &mut rng)
+                    };
+                    replica
+                        .attach_app(vm, 0, Box::new(PlanSource::new(plan)))
+                        .expect("ids were validated on the original host");
+                }
+                if let Some(d) = defense {
+                    for (j, &vm) in vms.iter().enumerate() {
+                        d.deploy(
+                            replica,
+                            vm,
+                            0,
+                            derive_seed(cfg.seed, STREAM_XT_NOISE, (unit * tenants + j) as u64),
+                        )
+                        .expect("ids were validated on the original host");
+                    }
+                }
+                let traces = replica.record_trace_multi(
+                    &[anchor, sibling],
+                    &events,
+                    OriginFilter::Any,
+                    cfg.interval_ns,
+                    window,
+                )?;
+                sum_traces_into(&traces, agg);
+                trace_features_into(agg, cfg.pool, feats);
+                Ok((feats.clone(), secret, rep))
+            },
+        );
+        let mut train = Dataset::new(Vec::new(), Vec::new(), s.n_secrets);
+        let mut test = Dataset::new(Vec::new(), Vec::new(), s.n_secrets);
+        for row in rows {
+            let (features, secret, rep) = row.map_err(AegisError::from)?;
+            if rep % 2 == 0 {
+                train.push(features, secret);
+            } else {
+                test.push(features, secret);
+            }
+        }
+        Ok(score_cell(policy, s.co_resident, cfg, &train, &test))
+    }
 
     fn sum_traces(traces: &[Trace]) -> Trace {
         let mut agg = Trace::new(Vec::new(), 1);

@@ -36,8 +36,7 @@ mod placement;
 mod sweep;
 
 pub use attack::{
-    cross_tenant_accuracy, cross_tenant_accuracy_scalar, policy_attack_table, CrossTenantConfig,
-    PolicyAttackCell,
+    cross_tenant_accuracy, policy_attack_table, CrossTenantConfig, PolicyAttackCell,
 };
 pub use placement::{FleetTopology, Placement, PlacementPolicy, Scheduler};
 pub use sweep::{fleet_sweep, FleetCellOutcome, FleetSweepConfig, FleetSweepOutcome};

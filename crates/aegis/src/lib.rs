@@ -62,8 +62,7 @@ pub use evaluate::{
     MeaRunLog, RunMeasurement, BLANK,
 };
 pub use fleet::{
-    cross_tenant_accuracy, cross_tenant_accuracy_scalar, fleet_sweep, policy_attack_table,
-    storm_schedule, CrossTenantConfig,
+    cross_tenant_accuracy, fleet_sweep, policy_attack_table, storm_schedule, CrossTenantConfig,
     FleetCellOutcome, FleetConfig, FleetHealth, FleetReport, FleetSupervisor, FleetSweepConfig,
     FleetSweepOutcome, FleetTopology, HostState, Placement, PlacementPolicy, PolicyAttackCell,
     Scheduler, StormHit, TenantOutcome, TenantStatus,

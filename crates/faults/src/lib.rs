@@ -43,7 +43,7 @@ use std::sync::RwLock;
 pub mod site {
     /// Counter read corruption / saturation / overflow (per lane).
     pub const COUNTER_READ: u64 = 0xFA01;
-    /// MSR/PMC programming failure in `PerfMonitor`.
+    /// MSR/PMC programming failure in the perf `TraceRecorder`.
     pub const PMC_PROGRAM: u64 = 0xFA02;
     /// Counter slot stolen by a concurrent host agent.
     pub const SLOT_STEAL: u64 = 0xFA03;

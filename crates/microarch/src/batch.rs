@@ -36,8 +36,8 @@ use crate::arch::MicroArch;
 use crate::cache::DataPageCache;
 use crate::core::{instr_step, irq_activity, mix_step, Core, ExecDraws, LaneCtx, BRANCH_SLOTS};
 use crate::core::{DrawSource, ExecError, InterferenceConfig};
-use crate::events::EventCatalog;
-use crate::pmu::{CounterConfig, PmuError, COUNTER_SLOTS};
+use crate::events::{EventCatalog, EventId};
+use crate::pmu::{CounterBank, CounterConfig, PmuError, COUNTER_SLOTS};
 use crate::rand_util::PoissonLimit;
 use crate::response::{noise_base_for_seed, read_counter, ResponseMatrix};
 use aegis_isa::InstructionSpec;
@@ -411,16 +411,15 @@ impl CoreBatch {
         Arc::clone(&self.catalog)
     }
 
-    /// A lane's measurement-noise base (keys the per-lane fault streams of
-    /// the batched recorder exactly as [`crate::Pmu::noise_base`] keys the
-    /// scalar monitor's).
+    /// A lane's measurement-noise base (keys a recorder's fault streams
+    /// exactly as [`crate::Pmu::noise_base`] does on a scalar core).
     pub fn noise_base(&self, lane: usize) -> u64 {
         self.noise_bases[lane]
     }
 
     /// The event programmed on a slot, if any (mirrors
     /// [`crate::Pmu::programmed_event`]).
-    pub fn programmed_event(&self, slot: usize) -> Option<crate::events::EventId> {
+    pub fn programmed_event(&self, slot: usize) -> Option<EventId> {
         self.slots.get(slot)?.as_ref().map(|t| t.config.event)
     }
 
@@ -808,6 +807,41 @@ impl CoreBatch {
         let mut v = ActivityVector::ZERO;
         v.0.copy_from_slice(&rows[lane * Feature::COUNT..(lane + 1) * Feature::COUNT]);
         v
+    }
+}
+
+/// A batch is an n-lane counter bank over its inherent slot methods.
+impl CounterBank for CoreBatch {
+    fn n_lanes(&self) -> usize {
+        self.n_lanes
+    }
+
+    fn noise_base(&self, lane: usize) -> u64 {
+        self.noise_bases[lane]
+    }
+
+    fn has_event(&self, event: EventId) -> bool {
+        self.catalog.get(event).is_some()
+    }
+
+    fn program(&mut self, slot: usize, config: CounterConfig) -> Result<(), PmuError> {
+        CoreBatch::program(self, slot, config)
+    }
+
+    fn clear_slot(&mut self, slot: usize) {
+        CoreBatch::clear_slot(self, slot);
+    }
+
+    fn programmed_event(&self, slot: usize) -> Option<EventId> {
+        CoreBatch::programmed_event(self, slot)
+    }
+
+    fn rdpmc(&mut self, lane: usize, slot: usize) -> Result<u64, PmuError> {
+        CoreBatch::rdpmc(self, lane, slot)
+    }
+
+    fn reset_value(&mut self, lane: usize, slot: usize) {
+        CoreBatch::reset_value(self, lane, slot);
     }
 }
 

@@ -54,7 +54,7 @@ pub use batch::CoreBatch;
 pub use arch::MicroArch;
 pub use cache::{CacheOutcome, DataPageCache, PAGE_LINES};
 pub use events::{named, EventCatalog, EventDesc, EventId, EventKind, KindStats};
-pub use pmu::{CounterConfig, OriginFilter, Pmu, PmuError, COUNTER_SLOTS};
+pub use pmu::{CounterBank, CounterConfig, OriginFilter, Pmu, PmuError, COUNTER_SLOTS};
 pub use response::{
     measurement_noise, noise_base_for_seed, read_counter, CounterLane, ResponseMatrix,
 };

@@ -190,22 +190,6 @@ impl Pmu {
         Ok(c.lane.read(&self.matrix, self.noise_base))
     }
 
-    /// Reads every programmed slot at once — the batched view a perf-style
-    /// monitor uses to collect a whole multiplex group per rotation.
-    pub fn read_group(&self) -> [Option<u64>; COUNTER_SLOTS] {
-        let mut out = [None; COUNTER_SLOTS];
-        for (slot, c) in self.slots.iter().enumerate() {
-            out[slot] = c.as_ref().map(|c| {
-                if self.fail_closed && c.lane.guest_visible() {
-                    0
-                } else {
-                    c.lane.read(&self.matrix, self.noise_base)
-                }
-            });
-        }
-        out
-    }
-
     /// Zeroes the value of a programmed counter without reprogramming it.
     pub fn reset_value(&mut self, slot: usize) {
         if let Some(Some(c)) = self.slots.get_mut(slot).map(Option::as_mut) {
@@ -238,6 +222,38 @@ impl Pmu {
             slot.lane.accumulate(delta, origin);
         }
     }
+}
+
+/// The counter slots a perf-style recorder programs and reads: one slot
+/// configuration shared by `n_lanes` lockstep lanes, each with its own
+/// counter values. A [`crate::Core`] is a one-lane bank over its [`Pmu`];
+/// a [`crate::CoreBatch`] is an n-lane bank.
+pub trait CounterBank {
+    /// Number of lanes.
+    fn n_lanes(&self) -> usize;
+    /// A lane's measurement-noise base.
+    fn noise_base(&self, lane: usize) -> u64;
+    /// Whether `event` is in the bank's catalog.
+    fn has_event(&self, event: EventId) -> bool;
+    /// Programs a slot on every lane, zeroing its values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmuError::BadSlot`] or [`PmuError::UnknownEvent`].
+    fn program(&mut self, slot: usize, config: CounterConfig) -> Result<(), PmuError>;
+    /// Clears a slot on every lane (out-of-range slots are ignored).
+    fn clear_slot(&mut self, slot: usize);
+    /// The event programmed on a slot, if any.
+    fn programmed_event(&self, slot: usize) -> Option<EventId>;
+    /// Reads a lane's programmed counter (`RDPMC`), consuming one draw
+    /// of its measurement-noise stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmuError::Unprogrammed`] or [`PmuError::BadSlot`].
+    fn rdpmc(&mut self, lane: usize, slot: usize) -> Result<u64, PmuError>;
+    /// Zeroes a lane's counter value without reprogramming the slot.
+    fn reset_value(&mut self, lane: usize, slot: usize);
 }
 
 #[cfg(test)]
@@ -427,34 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn read_group_reports_programmed_slots() {
-        // Two identically programmed PMUs: a batched group read on one
-        // must match a direct RDPMC on the other (both consume draw 0 of
-        // the same per-event noise stream).
-        let setup = || {
-            let (mut pmu, ev) = pmu();
-            pmu.program(
-                1,
-                CounterConfig {
-                    event: ev,
-                    filter: OriginFilter::Any,
-                },
-            )
-            .unwrap();
-            pmu.apply(
-                &ActivityVector::from_pairs(&[(Feature::UopsRetired, 42.0)]),
-                Origin::Host,
-            );
-            pmu
-        };
-        let group = setup().read_group();
-        let direct = setup().rdpmc(1).unwrap();
-        assert_eq!(group[0], None);
-        assert_eq!(group[1], Some(direct));
-        assert_eq!(group[2], None);
-    }
-
-    #[test]
     fn fail_closed_zeroes_guest_visible_reads_without_draws() {
         let (mut pmu, ev) = pmu();
         pmu.program(
@@ -473,7 +461,6 @@ mod tests {
         pmu.set_fail_closed(true);
         assert!(pmu.fail_closed());
         assert_eq!(pmu.rdpmc(0).unwrap(), 0, "latched read is zero");
-        assert_eq!(pmu.read_group()[0], Some(0));
         // No draws were consumed while latched: after release, the first
         // real read matches draw 0 on the untouched twin.
         pmu.set_fail_closed(false);

@@ -9,14 +9,13 @@
 //! This is the acquisition path both sides of the Aegis paper use: the
 //! malicious host samples four events per 1 ms over 3 s to mount attacks,
 //! and the Application Profiler opens groups of `C = 4` events at a time
-//! to characterize all of them.
+//! to characterize all of them. One [`TraceRecorder`] serves every
+//! [`CounterBank`](aegis_microarch::CounterBank): a scalar
+//! [`Core`](aegis_microarch::Core) as one lane, or a
+//! [`CoreBatch`](aegis_microarch::CoreBatch) lane group.
 
-mod lanes;
 mod monitor;
-mod recorder;
 mod trace;
 
-pub use lanes::LaneTraceRecorder;
-pub use monitor::{PerfError, PerfMonitor, DEFAULT_QUANTUM_NS};
-pub use recorder::TraceRecorder;
+pub use monitor::{PerfError, TraceRecorder, DEFAULT_QUANTUM_NS};
 pub use trace::Trace;

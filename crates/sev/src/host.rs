@@ -4,11 +4,11 @@ use crate::policy::{SevMode, SevViolation};
 use crate::source::{ActivitySource, PlanSource, ProtectionStatus};
 use aegis_faults::{self as faults, FaultPlan, FaultStream};
 use aegis_microarch::{
-    ActivityVector, Core, CoreBatch, EventCatalog, EventId, Feature, MicroArch, Origin,
-    OriginFilter, COUNTER_SLOTS,
+    ActivityVector, Core, CoreBatch, CounterBank, EventCatalog, EventId, Feature, MicroArch,
+    Origin, OriginFilter, COUNTER_SLOTS,
 };
 use aegis_par::Executor;
-use aegis_perf::{LaneTraceRecorder, PerfError, Trace, TraceRecorder};
+use aegis_perf::{PerfError, Trace, TraceRecorder};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -722,7 +722,7 @@ impl Host {
     ///
     /// # Errors
     ///
-    /// Propagates [`PerfError`] from opening the monitor.
+    /// Propagates [`PerfError`] from opening the recorder.
     pub fn record_trace(
         &mut self,
         core_idx: usize,
@@ -731,7 +731,7 @@ impl Host {
         interval_ns: u64,
         duration_ns: u64,
     ) -> Result<Trace, PerfError> {
-        let mut rec = TraceRecorder::open_with_faults(
+        let mut rec = TraceRecorder::open(
             &mut self.cores[core_idx],
             events,
             filter,
@@ -745,7 +745,7 @@ impl Host {
                 }
             });
         }
-        Ok(rec.finish(&mut self.cores[core_idx]))
+        Ok(finish_one(rec, &mut self.cores[core_idx]))
     }
 
     /// Records HPC traces on several physical cores over the *same* run
@@ -757,8 +757,10 @@ impl Host {
     ///
     /// # Errors
     ///
-    /// Propagates [`PerfError`] from opening any monitor (recorders
-    /// opened before the failure are dropped and release their slots).
+    /// Propagates [`PerfError`] from opening any recorder. Recorders
+    /// opened before the failure are finished, releasing their slots;
+    /// the failing core keeps its partial programming, as
+    /// [`Host::record_trace`] leaves it.
     ///
     /// # Panics
     ///
@@ -778,13 +780,16 @@ impl Host {
         }
         let mut recs = Vec::with_capacity(core_idxs.len());
         for &c in core_idxs {
-            recs.push(TraceRecorder::open_with_faults(
-                &mut self.cores[c],
-                events,
-                filter,
-                interval_ns,
-                self.env.faults,
-            )?);
+            let core = &mut self.cores[c];
+            match TraceRecorder::open(core, events, filter, interval_ns, self.env.faults) {
+                Ok(rec) => recs.push(rec),
+                Err(e) => {
+                    for (&c, rec) in core_idxs.iter().zip(recs) {
+                        rec.finish(&mut self.cores[c]);
+                    }
+                    return Err(e);
+                }
+            }
         }
         for _ in 0..duration_ns / TICK_NS {
             self.tick(|idx, core, dur| {
@@ -796,7 +801,7 @@ impl Host {
         Ok(core_idxs
             .iter()
             .zip(recs)
-            .map(|(&c, rec)| rec.finish(&mut self.cores[c]))
+            .map(|(&c, rec)| finish_one(rec, &mut self.cores[c]))
             .collect())
     }
 
@@ -1321,6 +1326,11 @@ fn tick_core<C: TickCore>(
     }
 }
 
+/// Finishes a recording on one core, its bank's only lane.
+fn finish_one(rec: TraceRecorder, core: &mut Core) -> Trace {
+    rec.finish(core).pop().expect("a core is one lane")
+}
+
 /// A recorded core of a lane tile: its index and the VM scheduled there.
 #[derive(Debug, Clone, Copy)]
 struct TileCore {
@@ -1339,9 +1349,14 @@ struct Window<'a> {
 }
 
 impl Window<'_> {
-    /// Opens this window's recorder on a core, as `record_trace` does.
-    fn open(&self, core: &mut Core, plan: FaultPlan) -> Result<TraceRecorder, PerfError> {
-        TraceRecorder::open_with_faults(core, self.events, self.filter, self.interval_ns, plan)
+    /// Opens this window's recorder on a core or a lane group, as
+    /// `record_trace` does.
+    fn open(
+        &self,
+        bank: &mut impl CounterBank,
+        plan: FaultPlan,
+    ) -> Result<TraceRecorder, PerfError> {
+        TraceRecorder::open(bank, self.events, self.filter, self.interval_ns, plan)
     }
 }
 
@@ -1368,15 +1383,7 @@ fn run_lane_tile(
     // multi-core open loop (first failure propagates).
     let mut recs = batches
         .iter_mut()
-        .map(|batch| {
-            LaneTraceRecorder::open(
-                batch,
-                window.events,
-                window.filter,
-                window.interval_ns,
-                env.faults,
-            )
-        })
+        .map(|batch| window.open(batch, env.faults))
         .collect::<Result<Vec<_>, _>>()?;
     // Replica vCPU statistics are discarded with the replica; the tick
     // body still keeps them, so sources see exactly the scalar calls.
@@ -2073,6 +2080,36 @@ mod tests {
         assert_ne!(
             inert[0][1].data, batched[0][1].data,
             "the stall plan must actually perturb the victim-core trace"
+        );
+    }
+
+    /// A failed multi-core open finishes the recorders it already
+    /// opened: no slot stays programmed on a core whose open succeeded.
+    #[test]
+    fn failed_multi_open_releases_the_opened_cores() {
+        let host_for = |seed| {
+            let plan = FaultPlan {
+                seed,
+                pmc_program_fail: 0.5,
+                ..FaultPlan::none()
+            };
+            Host::with_faults(MicroArch::AmdEpyc7252, 2, 7, plan)
+        };
+        let events = host_for(0).core(0).catalog().attack_events();
+        let opens = |seed, core| {
+            host_for(seed)
+                .record_trace(core, &events, OriginFilter::Any, 1_000_000, 0)
+                .is_ok()
+        };
+        let seed = (0..200)
+            .find(|&seed| opens(seed, 0) && !opens(seed, 1))
+            .expect("some seed opens core 0 and fails core 1");
+        let mut host = host_for(seed);
+        let got = host.record_trace_multi(&[0, 1], &events, OriginFilter::Any, 1_000_000, 1_000_000);
+        assert!(got.is_err());
+        assert!(
+            (0..COUNTER_SLOTS).all(|slot| host.core(0).pmu().programmed_event(slot).is_none()),
+            "core 0 opened before core 1 failed, so its slots are released"
         );
     }
 

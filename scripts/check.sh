@@ -19,9 +19,11 @@ VENDORED="--exclude criterion --exclude crossbeam --exclude proptest --exclude r
 
 echo "== cargo test -q =="
 # The workspace's default members are the root package plus every
-# first-party crate, so this runs each crate's own suite too: the
-# lane-vs-scalar bit-exactness proptests live in crates/microarch,
-# crates/perf and crates/sev.
+# first-party crate, so this runs each crate's own suite too. The
+# lane-vs-scalar bit-exactness checks live in crates/microarch (engine
+# proptests), crates/sev (recording proptests), tests/profiler_probes.rs
+# (probe lanes), crates/perf (one recorder over a core and a lane group)
+# and crates/aegis (dataset and cross-tenant lanes vs their forks).
 cargo test -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
@@ -47,6 +49,12 @@ echo "== profiler probe matrix (AEGIS_FAULTS=smoke) =="
 # loop with the smoke plan ambient; the suite's hosts carry explicit
 # plans, so this also proves nothing reads the ambient plan behind them.
 AEGIS_FAULTS=smoke cargo test -q --test profiler_probes
+
+echo "== recording pin (AEGIS_FAULTS=smoke) =="
+# The scalar host recording path's pinned trace digests must not move
+# with the smoke plan ambient: the recorder takes only the host's
+# explicit plan, so this proves it reads no ambient plan.
+AEGIS_FAULTS=smoke cargo test -q -p aegis-sev --test recording_pin
 
 echo "== service matrix (AEGIS_FAULTS=smoke) =="
 # The supervised service-plane properties (watchdog restart recovery,
