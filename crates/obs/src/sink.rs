@@ -127,7 +127,7 @@ mod tests {
     /// Sink tests mutate process-global state (env, level, the sink);
     /// serialize them with the crate-wide test lock.
     fn guard() -> std::sync::MutexGuard<'static, ()> {
-        crate::test_guard()
+        crate::tests::test_guard()
     }
 
     #[test]

@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn nesting_builds_slash_paths_and_records_metrics() {
-        let _guard = crate::test_guard();
+        let _guard = crate::tests::test_guard();
         set_level(Some(ObsLevel::Summary));
         global().clear();
         let before = global().snapshot();
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn off_level_records_nothing_but_still_times() {
-        let _guard = crate::test_guard();
+        let _guard = crate::tests::test_guard();
         set_level(Some(ObsLevel::Off));
         global().clear();
         let g = span("test.off");
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn spans_on_different_threads_do_not_nest_into_each_other() {
-        let _guard = crate::test_guard();
+        let _guard = crate::tests::test_guard();
         set_level(Some(ObsLevel::Summary));
         let _outer = span("test.main_thread");
         let path = std::thread::spawn(|| span("test.worker").path().to_string())
