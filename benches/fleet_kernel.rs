@@ -252,7 +252,7 @@ fn xt_fixture(plan: &DefensePlan, app: &KeystrokeApp, lanes: usize) -> XtFixture
 /// the victim's plan and every bystander's plan re-attached
 /// scalar-style (the fork must replay the whole co-resident household
 /// because `Host::tick` is whole-host), recorded with
-/// `record_trace_multi` on the anchor pair.
+/// `record_trace` on the anchor pair.
 fn xt_record_scalar(fx: &XtFixture) -> Vec<Vec<Trace>> {
     fx.victim_plans
         .iter()
@@ -269,7 +269,7 @@ fn xt_record_scalar(fx: &XtFixture) -> Vec<Vec<Trace>> {
                 fork.attach_app(vm, vcpu, Box::new(PlanSource::new(p.clone())))
                     .expect("fork holds the bystander VM");
             }
-            fork.record_trace_multi(
+            fork.record_trace(
                 &fx.cores,
                 &fx.events,
                 OriginFilter::Any,

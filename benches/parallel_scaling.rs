@@ -40,7 +40,7 @@ fn bench_collect(c: &mut Criterion) {
                 let events = host.core(core).catalog().attack_events();
                 black_box(
                     Collector::for_traces(cfg)
-                        .dataset(&mut host, vm, 0, &app, &events, None)
+                        .dataset(&host, vm, 0, &app, &events, None)
                         .unwrap()
                         .samples
                         .rows(),

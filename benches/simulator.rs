@@ -33,7 +33,7 @@ fn bench_simulator(c: &mut Criterion) {
         plan.push(Segment::new(u64::MAX / 2, spec.build()));
         host.attach_app(vm, 0, Box::new(PlanSource::new(plan)))
             .unwrap();
-        b.iter(|| host.tick(|_, _, _| {}));
+        b.iter(|| host.tick());
     });
 
     g.finish();

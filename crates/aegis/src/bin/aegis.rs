@@ -261,14 +261,14 @@ fn evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
     let app = app(opts, s)?;
     let plan = load_plan(opts)?;
     let mech = mechanism(opts)?;
-    let (mut host, vm) = template(arch, s)?;
+    let (host, vm) = template(arch, s)?;
     let core = host.core_of(vm, 0).map_err(|e| e.to_string())?;
     let events = host.core(core).catalog().attack_events().to_vec();
     let cfg = collect_cfg(app.as_ref(), s);
 
     eprintln!("training the attacker on clean traces ...");
     let clean = Collector::for_traces(cfg)
-        .dataset(&mut host, vm, 0, app.as_ref(), &events, None)
+        .dataset(&host, vm, 0, app.as_ref(), &events, None)
         .map_err(|e| e.to_string())?;
     let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), s);
     println!(
@@ -281,7 +281,7 @@ fn evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
     let mut victim = cfg;
     victim.seed = s ^ 0xc11;
     let defended = Collector::for_traces(victim)
-        .dataset(&mut host, vm, 0, app.as_ref(), &events, Some(&deployment))
+        .dataset(&host, vm, 0, app.as_ref(), &events, Some(&deployment))
         .map_err(|e| e.to_string())?;
     println!(
         "defended attack accuracy: {:6.2}%  under {}",

@@ -22,8 +22,8 @@
 //! Measurement runs on the lane-batched acquisition path: every
 //! `(secret, rep)` unit becomes one lane of a two-core
 //! [`CoreBatch`](aegis_microarch::CoreBatch) lane group driven by
-//! [`Host::record_trace_multi_batch`], instead of a full
-//! `fork_detached` host per unit. Lane tiles are sharded over the
+//! [`Host::record_trace_multi_batch`], instead of a full detached
+//! host fork per unit. Lane tiles are sharded over the
 //! `aegis-par` pool with per-unit derived seeds — bit-identical at any
 //! worker count and bit-identical to the scalar per-fork reference
 //! (`cross_tenant_accuracy_scalar`), which the unit tests keep as the
@@ -400,8 +400,8 @@ mod tests {
 
     /// The scalar per-fork reference for [`cross_tenant_accuracy`]: one
     /// `fork_detached` host replica per `(secret, rep)` unit, recorded with
-    /// [`Host::record_trace_multi`]. The batched path is pinned bit-identical
-    /// to it.
+    /// [`Host::record_trace`]. The batched path is pinned bit-identical to
+    /// it.
     fn cross_tenant_accuracy_scalar(
         policy: PlacementPolicy,
         app: &dyn SecretApp,
@@ -419,13 +419,9 @@ mod tests {
         type FeatureRow = Result<(Vec<f64>, usize, usize), aegis_perf::PerfError>;
         let rows: Vec<FeatureRow> = Executor::from_config().map_with(
             s.units.clone(),
-            |_worker| {
-                let pristine = snapshot.fork_detached();
-                let arena = pristine.fork_detached();
-                (pristine, arena, Trace::new(Vec::new(), 1), Vec::new())
-            },
-            |(pristine, replica, agg, feats), unit, (secret, rep)| {
-                pristine.fork_detached_into(replica);
+            |_worker| (Trace::new(Vec::new(), 1), Vec::new()),
+            |(agg, feats), unit, (secret, rep)| {
+                let mut replica = snapshot.fork_detached();
                 // The victim runs the labeled secret and every bystander
                 // an independently drawn decoy. The attacker (tenant 0)
                 // parks its own vCPU — it controls its workload, and
@@ -457,7 +453,7 @@ mod tests {
                 if let Some(d) = defense {
                     for (j, &vm) in vms.iter().enumerate() {
                         d.deploy(
-                            replica,
+                            &mut replica,
                             vm,
                             0,
                             derive_seed(cfg.seed, STREAM_XT_NOISE, (unit * tenants + j) as u64),
@@ -465,7 +461,7 @@ mod tests {
                         .expect("ids were validated on the original host");
                     }
                 }
-                let traces = replica.record_trace_multi(
+                let traces = replica.record_trace(
                     &[anchor, sibling],
                     &events,
                     OriginFilter::Any,

@@ -744,7 +744,7 @@ impl FleetSupervisor {
     }
 
     /// The malicious hypervisor's measurement hook: records HPC traces
-    /// on host `h` exactly as [`Host::record_trace_multi`] would,
+    /// on host `h` exactly as [`Host::record_trace`] would,
     /// advancing that host's clock (crashed hosts included — their
     /// latched cores read zero in every window, which is the property
     /// tests use this hook to verify).
@@ -763,7 +763,7 @@ impl FleetSupervisor {
     ) -> Result<Vec<aegis_perf::Trace>, aegis_perf::PerfError> {
         self.shards[h]
             .host
-            .record_trace_multi(cores, events, filter, interval_ns, duration_ns)
+            .record_trace(cores, events, filter, interval_ns, duration_ns)
     }
 
     /// Lane-batched sibling of [`FleetSupervisor::record_host_trace`]:

@@ -528,7 +528,7 @@ mod tests {
         deployment.deploy(&mut host, vm, 0, 42).unwrap();
         // Injection shows up in the vCPU stats after some run time.
         host.reset_vm_stats(vm).unwrap();
-        host.run(50_000_000, |_, _, _| {});
+        host.run(50_000_000);
         let stats = host.vcpu_stats(vm, 0).unwrap();
         assert!(stats.injected_uops > 0.0, "{stats:?}");
     }

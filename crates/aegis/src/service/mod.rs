@@ -523,7 +523,7 @@ impl ServicePlane {
         span.set_sim_ns(duration_ns);
         let end = host.clock_ns().saturating_add(duration_ns);
         while host.clock_ns() < end {
-            host.tick(|_, _, _| {});
+            host.tick();
             let now = host.clock_ns();
             if now >= self.next_check_ns {
                 while self.next_check_ns <= now {

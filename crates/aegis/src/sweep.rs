@@ -267,10 +267,10 @@ fn assemble(units: Vec<(f64, usize)>, results: Vec<(f64, CellStats)>) -> SweepOu
 /// evaluated directly (Fig. 9a). Without it, a *robust* attacker is
 /// first trained on defended traces of the same cell (Fig. 9b).
 ///
-/// Cells shard across the configured worker pool, each replaying
-/// against a pristine fork of `host`; collected datasets and trained
-/// models are memoized through `cache`. Output is bit-identical for any
-/// worker count and any cache state.
+/// Cells shard across the configured worker pool and collect from
+/// `host` as it stands (collection never advances it); collected
+/// datasets and trained models are memoized through `cache`. Output is
+/// bit-identical for any worker count and any cache state.
 ///
 /// # Errors
 ///
@@ -290,7 +290,6 @@ pub fn classification_sweep(
     cache: &ArtifactCache,
 ) -> Result<SweepOutcome, AegisError> {
     let units = grid_units(cfg);
-    let snapshot: &Host = host;
     let ckpt_key = ArtifactKey::of(
         "sweep-ckpt",
         &(
@@ -301,97 +300,77 @@ pub fn classification_sweep(
         ),
     );
     let eval = |chunk: &[(f64, usize)]| {
-        Executor::from_config().map_with(
-            chunk.to_vec(),
-            |_worker| {
-                let pristine = snapshot.fork_detached();
-                let arena = pristine.fork_detached();
-                (pristine, arena)
-            },
-            |(pristine, replica), _unit, (eps, mech_idx)| {
-                let _cell = obs::span("sweep.cell");
-                let mut stats = CellStats::default();
-                let seed = cell_seed(cfg, eps, mech_idx);
-                let deployment = DefenseDeployment {
-                    stack: base.stack.clone(),
-                    mechanism: mechanism(mech_idx, eps),
-                    obfuscator: base.obfuscator,
-                };
-                // In-place fork into the worker's reusable replica arena.
-                pristine.fork_detached_into(replica);
+        Executor::from_config().map(chunk.to_vec(), |_unit, (eps, mech_idx)| {
+            let _cell = obs::span("sweep.cell");
+            let mut stats = CellStats::default();
+            let seed = cell_seed(cfg, eps, mech_idx);
+            let deployment = DefenseDeployment {
+                stack: base.stack.clone(),
+                mechanism: mechanism(mech_idx, eps),
+                obfuscator: base.obfuscator,
+            };
 
-                // Defended victim (test) traces.
-                let mut victim_cfg = *collect;
-                victim_cfg.traces_per_secret = cfg.victim_traces_per_secret;
-                victim_cfg.seed = derive_seed(seed, STREAM_VICTIM, 0);
-                let victim = cached_col(
-                    cache,
-                    &ArtifactKey::raw(
-                        "noisy-dataset",
-                        dataset_key(cfg, app, events, &victim_cfg, &deployment),
-                    ),
-                    &mut stats,
-                    || {
-                        dataset_impl(
-                            &mut *replica,
-                            vm,
-                            vcpu,
-                            app,
-                            events,
-                            &victim_cfg,
-                            Some(&deployment),
-                        )
-                    },
-                )?;
+            // Defended victim (test) traces.
+            let mut victim_cfg = *collect;
+            victim_cfg.traces_per_secret = cfg.victim_traces_per_secret;
+            victim_cfg.seed = derive_seed(seed, STREAM_VICTIM, 0);
+            let victim = cached_col(
+                cache,
+                &ArtifactKey::raw(
+                    "noisy-dataset",
+                    dataset_key(cfg, app, events, &victim_cfg, &deployment),
+                ),
+                &mut stats,
+                || dataset_impl(host, vm, vcpu, app, events, &victim_cfg, Some(&deployment)),
+            )?;
 
-                let accuracy = match clean_attacker {
-                    Some(attacker) => {
-                        let _eval = obs::span("sweep.eval");
-                        attacker.accuracy(&victim)
-                    }
-                    None => {
-                        // Robust attacker: trains AND tests on defended traces.
-                        let mut train_collect = *collect;
-                        train_collect.traces_per_secret = cfg.robust_traces_per_secret;
-                        train_collect.seed = derive_seed(seed, STREAM_TRAIN, 0);
-                        let noisy = cached_col(
-                            cache,
-                            &ArtifactKey::raw(
-                                "noisy-dataset",
-                                dataset_key(cfg, app, events, &train_collect, &deployment),
-                            ),
-                            &mut stats,
-                            || {
-                                dataset_impl(
-                                    &mut *replica,
-                                    vm,
-                                    vcpu,
-                                    app,
-                                    events,
-                                    &train_collect,
-                                    Some(&deployment),
-                                )
-                            },
-                        )?;
-                        let model_seed = derive_seed(seed, STREAM_MODEL, 0);
-                        // Same key recipe as `ClassifierAttack::train_cached`,
-                        // so both paths share artifacts.
-                        let attacker = cached_col(
-                            cache,
-                            &ArtifactKey::raw(
-                                "attack-model",
-                                fingerprint(&(&noisy, &cfg.train, model_seed)),
-                            ),
-                            &mut stats,
-                            || Ok(ClassifierAttack::train(&noisy, cfg.train, model_seed)),
-                        )?;
-                        let _eval = obs::span("sweep.eval");
-                        attacker.accuracy(&victim)
-                    }
-                };
-                Ok((accuracy, stats))
-            },
-        )
+            let accuracy = match clean_attacker {
+                Some(attacker) => {
+                    let _eval = obs::span("sweep.eval");
+                    attacker.accuracy(&victim)
+                }
+                None => {
+                    // Robust attacker: trains AND tests on defended traces.
+                    let mut train_collect = *collect;
+                    train_collect.traces_per_secret = cfg.robust_traces_per_secret;
+                    train_collect.seed = derive_seed(seed, STREAM_TRAIN, 0);
+                    let noisy = cached_col(
+                        cache,
+                        &ArtifactKey::raw(
+                            "noisy-dataset",
+                            dataset_key(cfg, app, events, &train_collect, &deployment),
+                        ),
+                        &mut stats,
+                        || {
+                            dataset_impl(
+                                host,
+                                vm,
+                                vcpu,
+                                app,
+                                events,
+                                &train_collect,
+                                Some(&deployment),
+                            )
+                        },
+                    )?;
+                    let model_seed = derive_seed(seed, STREAM_MODEL, 0);
+                    // Same key recipe as `ClassifierAttack::train_cached`,
+                    // so both paths share artifacts.
+                    let attacker = cached_col(
+                        cache,
+                        &ArtifactKey::raw(
+                            "attack-model",
+                            fingerprint(&(&noisy, &cfg.train, model_seed)),
+                        ),
+                        &mut stats,
+                        || Ok(ClassifierAttack::train(&noisy, cfg.train, model_seed)),
+                    )?;
+                    let _eval = obs::span("sweep.eval");
+                    attacker.accuracy(&victim)
+                }
+            };
+            Ok((accuracy, stats))
+        })
     };
     let results = run_checkpointed::<CellLog, _, AegisError, _>(
         cache,
@@ -427,7 +406,6 @@ pub fn mea_sweep(
     cache: &ArtifactCache,
 ) -> Result<SweepOutcome, AegisError> {
     let units = grid_units(cfg);
-    let snapshot: &Host = host;
     let ckpt_key = ArtifactKey::of(
         "sweep-ckpt",
         &(
@@ -438,93 +416,83 @@ pub fn mea_sweep(
         ),
     );
     let eval = |chunk: &[(f64, usize)]| {
-        Executor::from_config().map_with(
-            chunk.to_vec(),
-            |_worker| {
-                let pristine = snapshot.fork_detached();
-                let arena = pristine.fork_detached();
-                (pristine, arena)
-            },
-            |(pristine, replica), _unit, (eps, mech_idx)| {
-                let _cell = obs::span("sweep.cell");
-                let mut stats = CellStats::default();
-                let seed = cell_seed(cfg, eps, mech_idx);
-                let deployment = DefenseDeployment {
-                    stack: base.stack.clone(),
-                    mechanism: mechanism(mech_idx, eps),
-                    obfuscator: base.obfuscator,
-                };
-                // In-place fork into the worker's reusable replica arena.
-                pristine.fork_detached_into(replica);
+        Executor::from_config().map(chunk.to_vec(), |_unit, (eps, mech_idx)| {
+            let _cell = obs::span("sweep.cell");
+            let mut stats = CellStats::default();
+            let seed = cell_seed(cfg, eps, mech_idx);
+            let deployment = DefenseDeployment {
+                stack: base.stack.clone(),
+                mechanism: mechanism(mech_idx, eps),
+                obfuscator: base.obfuscator,
+            };
 
-                let mut victim_cfg = *collect;
-                victim_cfg.runs_per_model = cfg.victim_runs_per_model;
-                victim_cfg.seed = derive_seed(seed, STREAM_VICTIM, 0);
-                let victim: MeaRunLog = cached_col(
-                    cache,
-                    &ArtifactKey::raw(
-                        "noisy-mea-runs",
-                        mea_key(cfg, zoo, events, &victim_cfg, &deployment),
-                    ),
-                    &mut stats,
-                    || {
-                        Ok(MeaRunLog(mea_runs_impl(
-                            &mut *replica,
-                            vm,
-                            vcpu,
-                            zoo,
-                            events,
-                            &victim_cfg,
-                            Some(&deployment),
-                        )?))
-                    },
-                )?;
+            let mut victim_cfg = *collect;
+            victim_cfg.runs_per_model = cfg.victim_runs_per_model;
+            victim_cfg.seed = derive_seed(seed, STREAM_VICTIM, 0);
+            let victim: MeaRunLog = cached_col(
+                cache,
+                &ArtifactKey::raw(
+                    "noisy-mea-runs",
+                    mea_key(cfg, zoo, events, &victim_cfg, &deployment),
+                ),
+                &mut stats,
+                || {
+                    Ok(MeaRunLog(mea_runs_impl(
+                        host,
+                        vm,
+                        vcpu,
+                        zoo,
+                        events,
+                        &victim_cfg,
+                        Some(&deployment),
+                    )?))
+                },
+            )?;
 
-                let accuracy = match clean_attacker {
-                    Some(attacker) => {
-                        let _eval = obs::span("sweep.eval");
-                        attacker.sequence_accuracy(&victim.0)
-                    }
-                    None => {
-                        let mut train_collect = *collect;
-                        train_collect.seed = derive_seed(seed, STREAM_TRAIN, 0);
-                        let noisy: MeaRunLog = cached_col(
-                            cache,
-                            &ArtifactKey::raw(
-                                "noisy-mea-runs",
-                                mea_key(cfg, zoo, events, &train_collect, &deployment),
-                            ),
-                            &mut stats,
-                            || {
-                                Ok(MeaRunLog(mea_runs_impl(
-                                    &mut *replica,
-                                    vm,
-                                    vcpu,
-                                    zoo,
-                                    events,
-                                    &train_collect,
-                                    Some(&deployment),
-                                )?))
-                            },
-                        )?;
-                        let model_seed = derive_seed(seed, STREAM_MODEL, 0);
-                        // Same key recipe as `MeaAttack::train_cached`.
-                        let attacker = cached_col(
-                            cache,
-                            &ArtifactKey::raw(
-                                "mea-model",
-                                fingerprint(&(&noisy.0, &cfg.train, model_seed)),
-                            ),
-                            &mut stats,
-                            || Ok(MeaAttack::train(&noisy.0, cfg.train, model_seed)),
-                        )?;
-                        let _eval = obs::span("sweep.eval");
-                        attacker.sequence_accuracy(&victim.0)
-                    }
-                };
-                Ok((accuracy, stats))
-            },
-        )
+            let accuracy = match clean_attacker {
+                Some(attacker) => {
+                    let _eval = obs::span("sweep.eval");
+                    attacker.sequence_accuracy(&victim.0)
+                }
+                None => {
+                    let mut train_collect = *collect;
+                    train_collect.seed = derive_seed(seed, STREAM_TRAIN, 0);
+                    let noisy: MeaRunLog = cached_col(
+                        cache,
+                        &ArtifactKey::raw(
+                            "noisy-mea-runs",
+                            mea_key(cfg, zoo, events, &train_collect, &deployment),
+                        ),
+                        &mut stats,
+                        || {
+                            Ok(MeaRunLog(mea_runs_impl(
+                                host,
+                                vm,
+                                vcpu,
+                                zoo,
+                                events,
+                                &train_collect,
+                                Some(&deployment),
+                            )?))
+                        },
+                    )?;
+                    let model_seed = derive_seed(seed, STREAM_MODEL, 0);
+                    // Same key recipe as `MeaAttack::train_cached`.
+                    let attacker = cached_col(
+                        cache,
+                        &ArtifactKey::raw(
+                            "mea-model",
+                            fingerprint(&(&noisy.0, &cfg.train, model_seed)),
+                        ),
+                        &mut stats,
+                        || Ok(MeaAttack::train(&noisy.0, cfg.train, model_seed)),
+                    )?;
+                    let _eval = obs::span("sweep.eval");
+                    attacker.sequence_accuracy(&victim.0)
+                }
+            };
+            Ok((accuracy, stats))
+        })
     };
     let results = run_checkpointed::<CellLog, _, AegisError, _>(
         cache,
@@ -779,8 +747,7 @@ mod tests {
             seed: 7,
             per_secret_noise: false,
         };
-        let mut clean_host = host.fork_detached();
-        let clean = dataset_impl(&mut clean_host, vm, 0, &app, &events, &collect, None).unwrap();
+        let clean = dataset_impl(&host, vm, 0, &app, &events, &collect, None).unwrap();
         let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), 7);
         let deployment = test_deployment(&host);
         let cfg = quick_sweep_cfg();

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 /// deployed against it.
 pub fn ext_crypto(cfg: &ExpConfig) {
     print_header("Extension — fine-grained crypto-key extraction (paper future work)");
-    let (mut host, vm) = new_host(cfg.seed + 21);
+    let (host, vm) = new_host(cfg.seed + 21);
     let app = CryptoApp::with_window(4, 400_000_000);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
@@ -35,7 +35,7 @@ pub fn ext_crypto(cfg: &ExpConfig) {
         per_secret_noise: false,
     };
     let clean = Collector::for_traces(collect)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
     let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
     print_kv(
@@ -61,7 +61,7 @@ pub fn ext_crypto(cfg: &ExpConfig) {
         victim.seed = cfg.seed ^ 0xc2f9;
         victim.traces_per_secret = 8;
         let defended = Collector::for_traces(victim)
-            .dataset(&mut host, vm, 0, &app, &events, Some(&deployment))
+            .dataset(&host, vm, 0, &app, &events, Some(&deployment))
             .unwrap();
         t.row_strings(vec![label.to_string(), pct(attacker.accuracy(&defended))]);
     }
@@ -129,13 +129,13 @@ pub fn ablations(cfg: &ExpConfig) {
 /// discriminative alternatives on the same WFA dataset.
 fn ablation_learners(cfg: &ExpConfig) {
     print_header("Ablation — attacker model choice (WFA, same dataset)");
-    let (mut host, vm) = new_host(cfg.seed + 22);
+    let (host, vm) = new_host(cfg.seed + 22);
     let app = wfa_app(cfg);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = cfg.wfa_collect();
     let ds = Collector::for_traces(collect)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -168,13 +168,13 @@ fn ablation_learners(cfg: &ExpConfig) {
 /// of the standard (≤4-lane) injector against a single-direction stack.
 fn ablation_lanes(cfg: &ExpConfig) {
     print_header("Ablation — lane-diverse vs single-direction injection (WFA, laplace eps=2^3)");
-    let (mut host, vm) = new_host(cfg.seed + 23);
+    let (host, vm) = new_host(cfg.seed + 23);
     let app = wfa_app(cfg);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = cfg.wfa_collect();
     let clean = Collector::for_traces(collect)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
     let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
 
@@ -191,7 +191,7 @@ fn ablation_lanes(cfg: &ExpConfig) {
         victim.seed = cfg.seed ^ 0x1a9e ^ label.len() as u64;
         victim.traces_per_secret = cfg.sweep_traces_per_secret(app.n_secrets());
         let defended = Collector::for_traces(victim)
-            .dataset(&mut host, vm, 0, &app, &events, Some(d))
+            .dataset(&host, vm, 0, &app, &events, Some(d))
             .unwrap();
         t.row_strings(vec![label.to_string(), pct(attacker.accuracy(&defended))]);
     }
@@ -207,13 +207,13 @@ fn ablation_lanes(cfg: &ExpConfig) {
 /// after clipping), at equal expected volume.
 fn ablation_interval(cfg: &ExpConfig) {
     print_header("Ablation — injection interval at equal noise volume (WFA, laplace eps=2^3)");
-    let (mut host, vm) = new_host(cfg.seed + 24);
+    let (host, vm) = new_host(cfg.seed + 24);
     let app = wfa_app(cfg);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = cfg.wfa_collect();
     let clean = Collector::for_traces(collect)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
     let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
 
@@ -233,7 +233,7 @@ fn ablation_interval(cfg: &ExpConfig) {
         victim.traces_per_secret = cfg.sweep_traces_per_secret(app.n_secrets());
         let before = host.vcpu_stats(vm, 0).unwrap().injected_uops;
         let defended = Collector::for_traces(victim)
-            .dataset(&mut host, vm, 0, &app, &events, Some(d))
+            .dataset(&host, vm, 0, &app, &events, Some(d))
             .unwrap();
         let injected = host.vcpu_stats(vm, 0).unwrap().injected_uops - before;
         t.row_strings(vec![

@@ -35,13 +35,13 @@ fn curve_table(curve: &aegis::attack::TrainingCurve) -> Table {
 
 fn wfa(cfg: &ExpConfig) {
     print_header("Fig. 1a — Website fingerprinting attack (paper: 98.72% val / 98.57% victim)");
-    let (mut host, vm) = new_host(cfg.seed);
+    let (host, vm) = new_host(cfg.seed);
     let app = wfa_app(cfg);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = cfg.wfa_collect();
 
-    let clean = clean_dataset_cached(cfg.seed, &mut host, vm, 0, &app, &events, &collect);
+    let clean = clean_dataset_cached(cfg.seed, &host, vm, 0, &app, &events, &collect);
     let attack = ClassifierAttack::train_cached(
         &clean,
         TrainConfig::default(),
@@ -53,20 +53,20 @@ fn wfa(cfg: &ExpConfig) {
     let mut victim_cfg = collect;
     victim_cfg.seed = cfg.seed ^ 0xbeef;
     victim_cfg.traces_per_secret = cfg.sweep_traces_per_secret(app.n_secrets());
-    let victim = clean_dataset_cached(cfg.seed, &mut host, vm, 0, &app, &events, &victim_cfg);
+    let victim = clean_dataset_cached(cfg.seed, &host, vm, 0, &app, &events, &victim_cfg);
     print_kv("validation accuracy", pct(attack.curve.final_val_acc()));
     print_kv("victim-VM accuracy", pct(attack.accuracy(&victim)));
 }
 
 fn ksa(cfg: &ExpConfig) {
     print_header("Fig. 1b — Keystroke sniffing attack (paper: 95.21% val / 95.48% victim)");
-    let (mut host, vm) = new_host(cfg.seed + 1);
+    let (host, vm) = new_host(cfg.seed + 1);
     let app = ksa_app(cfg);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = cfg.ksa_collect();
 
-    let clean = clean_dataset_cached(cfg.seed + 1, &mut host, vm, 0, &app, &events, &collect);
+    let clean = clean_dataset_cached(cfg.seed + 1, &host, vm, 0, &app, &events, &collect);
     let attack = ClassifierAttack::train_cached(
         &clean,
         TrainConfig::default(),
@@ -78,20 +78,20 @@ fn ksa(cfg: &ExpConfig) {
     let mut victim_cfg = collect;
     victim_cfg.seed = cfg.seed ^ 0xbeef;
     victim_cfg.traces_per_secret = 8;
-    let victim = clean_dataset_cached(cfg.seed + 1, &mut host, vm, 0, &app, &events, &victim_cfg);
+    let victim = clean_dataset_cached(cfg.seed + 1, &host, vm, 0, &app, &events, &victim_cfg);
     print_kv("validation accuracy", pct(attack.curve.final_val_acc()));
     print_kv("victim-VM accuracy", pct(attack.accuracy(&victim)));
 }
 
 fn mea(cfg: &ExpConfig) {
     print_header("Fig. 1c — DNN model extraction attack (paper: 91.8% val / 90.5% victim)");
-    let (mut host, vm) = new_host(cfg.seed + 2);
+    let (host, vm) = new_host(cfg.seed + 2);
     let zoo = mea_zoo(cfg);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = cfg.mea_collect();
 
-    let runs = clean_mea_runs_cached(cfg.seed + 2, &mut host, vm, 0, &zoo, &events, &collect);
+    let runs = clean_mea_runs_cached(cfg.seed + 2, &host, vm, 0, &zoo, &events, &collect);
     let attack = MeaAttack::train_cached(
         &runs,
         TrainConfig::default(),
@@ -107,7 +107,7 @@ fn mea(cfg: &ExpConfig) {
     let mut victim_cfg = collect;
     victim_cfg.seed = cfg.seed ^ 0xbeef;
     victim_cfg.runs_per_model = 2;
-    let victim = clean_mea_runs_cached(cfg.seed + 2, &mut host, vm, 0, &zoo, &events, &victim_cfg);
+    let victim = clean_mea_runs_cached(cfg.seed + 2, &host, vm, 0, &zoo, &events, &victim_cfg);
     print_kv(
         "victim layer-sequence accuracy",
         pct(attack.sequence_accuracy(&victim)),

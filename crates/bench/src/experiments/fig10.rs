@@ -11,7 +11,6 @@ use crate::scenarios::{deployment_for, mea_zoo, new_host, plan_for, wfa_app, Exp
 use aegis::measure_app_run;
 use aegis::microarch::Feature;
 use aegis::par::Executor;
-use aegis::sev::Host;
 use aegis::workloads::{SecretApp, WorkloadPlan};
 use aegis::MechanismChoice;
 use rand::rngs::StdRng;
@@ -86,8 +85,9 @@ pub fn run(cfg: &ExpConfig) {
             ("dstar", |e| MechanismChoice::DStar { epsilon: e }),
         ];
         // The (mechanism, ε) cells are independent measurements, so they
-        // shard across the worker pool, each against a pristine fork of
-        // the baseline host. Warm the plan cache before workers spawn.
+        // shard across the worker pool, each running its apps on its own
+        // fork of the baseline host. Warm the plan cache before workers
+        // spawn.
         let _ = plan_for(cfg, app);
         let units: Vec<(&str, f64, MechanismChoice)> = mechanisms
             .iter()
@@ -97,36 +97,26 @@ pub fn run(cfg: &ExpConfig) {
                     .map(move |eps| (name, eps, make(eps)))
             })
             .collect();
-        let snapshot: &Host = &host;
-        let cells = Executor::from_config().map_with(
-            units,
-            |_worker| {
-                let pristine = snapshot.fork_detached();
-                let arena = pristine.fork_detached();
-                (pristine, arena)
-            },
-            |(pristine, replica), _unit, (name, eps, mech)| {
-                let deployment = deployment_for(cfg, app, mech);
-                // In-place fork into the worker's reusable replica arena.
-                pristine.fork_detached_into(replica);
-                let mut lat = 0.0;
-                let mut cpu = 0.0;
-                for (i, plan) in plans.iter().enumerate() {
-                    let m = measure_app_run(
-                        &mut *replica,
-                        vm,
-                        0,
-                        plan.clone(),
-                        Some(&deployment),
-                        1000 + i as u64,
-                    )
-                    .unwrap();
-                    lat += m.latency_ns as f64 / runs as f64;
-                    cpu += m.cpu_usage / runs as f64;
-                }
-                (name, eps, lat, cpu)
-            },
-        );
+        let cells = Executor::from_config().map(units, |_unit, (name, eps, mech)| {
+            let deployment = deployment_for(cfg, app, mech);
+            let mut replica = host.fork_detached();
+            let mut lat = 0.0;
+            let mut cpu = 0.0;
+            for (i, plan) in plans.iter().enumerate() {
+                let m = measure_app_run(
+                    &mut replica,
+                    vm,
+                    0,
+                    plan.clone(),
+                    Some(&deployment),
+                    1000 + i as u64,
+                )
+                .unwrap();
+                lat += m.latency_ns as f64 / runs as f64;
+                cpu += m.cpu_usage / runs as f64;
+            }
+            (name, eps, lat, cpu)
+        });
         for (name, eps, lat, cpu) in cells {
             let marker = if (name == "laplace" && eps == 1.0) || (name == "dstar" && eps == 8.0) {
                 " *"

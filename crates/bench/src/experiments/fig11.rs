@@ -25,7 +25,7 @@ pub fn fig11(cfg: &ExpConfig) {
     let collect = cfg.wfa_collect();
 
     let clean = Collector::for_traces(collect)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
     let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
 
@@ -120,13 +120,14 @@ fn peak_norm(
             .unwrap();
         let trace = host
             .record_trace(
-                core,
+                &[core],
                 events,
                 aegis::microarch::OriginFilter::Any,
                 collect.interval_ns,
                 collect.window_ns,
             )
-            .unwrap();
+            .unwrap()
+            .remove(0);
         peak = peak.max(trace.peak());
     }
     let sub_per_sample = collect.interval_ns as f64 / obf.interval_ns as f64;
@@ -175,11 +176,11 @@ pub fn constout(cfg: &ExpConfig) {
     // Peak normalized value over clean traces of this site.
     let p_norm = peak_norm(&mut host, vm, &one, &events, &collect);
 
-    let mut volume = |mech: MechanismChoice| {
+    let volume = |mech: MechanismChoice| {
         let deployment = deployment_for(cfg, &app, mech);
         let before = host.vcpu_stats(vm, 0).unwrap().injected_uops;
         Collector::for_traces(collect)
-            .dataset(&mut host, vm, 0, &one, &events, Some(&deployment))
+            .dataset(&host, vm, 0, &one, &events, Some(&deployment))
             .unwrap();
         host.vcpu_stats(vm, 0).unwrap().injected_uops - before
     };
@@ -199,14 +200,14 @@ pub fn constout(cfg: &ExpConfig) {
 /// Section IX-B: averaging multiple traces of the same secret.
 pub fn multitries(cfg: &ExpConfig) {
     print_header("Multiple-tries analysis (Section IX-B)");
-    let (mut host, vm) = new_host(cfg.seed + 13);
+    let (host, vm) = new_host(cfg.seed + 13);
     let app = crate::scenarios::ksa_app(cfg);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = cfg.ksa_collect();
 
     let clean = Collector::for_traces(collect)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
     let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
 
@@ -266,7 +267,7 @@ pub fn multitries(cfg: &ExpConfig) {
         c.per_secret_noise = per_secret;
         c.seed = cfg.seed ^ 0x3117 ^ u64::from(per_secret);
         let defended = Collector::for_traces(c)
-            .dataset(&mut host, vm, 0, &app, &events, Some(deployment))
+            .dataset(&host, vm, 0, &app, &events, Some(deployment))
             .unwrap();
         let mut t = Table::new(&["averaged traces k", "accuracy"]);
         for k in [1usize, 2, 4, 8, 16] {

@@ -37,13 +37,14 @@ pub fn run(cfg: &ExpConfig) {
                 .unwrap();
             let trace = host
                 .record_trace(
-                    core,
+                    &[core],
                     &[event],
                     OriginFilter::GuestOnly(vm.0),
                     5_000_000,
                     window_ns,
                 )
-                .unwrap();
+                .unwrap()
+                .remove(0);
             rows.push(trace.row(0).to_vec());
         }
         series.push(rows);

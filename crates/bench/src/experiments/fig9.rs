@@ -68,7 +68,7 @@ fn classification_sweep(
     eps_grid: &[f64],
     robust: bool,
 ) {
-    let (mut host, vm) = new_host(cfg.seed + seed_off);
+    let (host, vm) = new_host(cfg.seed + seed_off);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = if label == "WFA" {
@@ -84,8 +84,7 @@ fn classification_sweep(
     let clean_attacker = if robust {
         None
     } else {
-        let clean =
-            clean_dataset_cached(cfg.seed + seed_off, &mut host, vm, 0, app, &events, &collect);
+        let clean = clean_dataset_cached(cfg.seed + seed_off, &host, vm, 0, app, &events, &collect);
         Some(ClassifierAttack::train_cached(
             &clean,
             TrainConfig::default(),
@@ -134,7 +133,7 @@ fn classification_sweep(
 
 fn mea_sweep(cfg: &ExpConfig, eps_grid: &[f64], robust: bool) {
     let zoo = mea_zoo(cfg);
-    let (mut host, vm) = new_host(cfg.seed + 2);
+    let (host, vm) = new_host(cfg.seed + 2);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let collect = cfg.mea_collect();
@@ -143,7 +142,7 @@ fn mea_sweep(cfg: &ExpConfig, eps_grid: &[f64], robust: bool) {
     let clean_attacker = if robust {
         None
     } else {
-        let runs = clean_mea_runs_cached(cfg.seed + 2, &mut host, vm, 0, &zoo, &events, &collect);
+        let runs = clean_mea_runs_cached(cfg.seed + 2, &host, vm, 0, &zoo, &events, &collect);
         Some(MeaAttack::train_cached(
             &runs,
             TrainConfig::default(),
@@ -190,13 +189,13 @@ fn mea_sweep(cfg: &ExpConfig, eps_grid: &[f64], robust: bool) {
 /// the injector.
 pub fn fig9c(cfg: &ExpConfig) {
     print_header("Fig. 9c — mutual information I(X;X') between clean and noised traces");
-    let (mut host, vm) = new_host(cfg.seed + 3);
+    let (host, vm) = new_host(cfg.seed + 3);
     let app = wfa_app(cfg);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
     let mut collect = cfg.wfa_collect();
     collect.traces_per_secret = if cfg.quick { 4 } else { 8 };
-    let clean = clean_dataset_cached(cfg.seed + 3, &mut host, vm, 0, &app, &events, &collect);
+    let clean = clean_dataset_cached(cfg.seed + 3, &host, vm, 0, &app, &events, &collect);
 
     // Scalar feature per trace: its first pooled RETIRED_UOPS value
     // stream, normalized to the obfuscator's unit scale.

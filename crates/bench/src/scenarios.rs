@@ -145,7 +145,7 @@ use std::sync::Mutex;
 /// `AEGIS_NO_CACHE=1`.
 pub fn clean_dataset_cached(
     host_seed: u64,
-    host: &mut aegis::sev::Host,
+    host: &aegis::sev::Host,
     vm: VmId,
     vcpu: usize,
     app: &dyn SecretApp,
@@ -177,7 +177,7 @@ pub fn clean_dataset_cached(
 /// [`clean_dataset_cached`] under the `clean-mea-runs` kind.
 pub fn clean_mea_runs_cached(
     host_seed: u64,
-    host: &mut aegis::sev::Host,
+    host: &aegis::sev::Host,
     vm: VmId,
     vcpu: usize,
     zoo: &DnnZoo,

@@ -36,6 +36,7 @@
 //! existing golden test stays bit-identical.
 
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::sync::RwLock;
 
 /// Stream tags for the per-site fault streams. Distinct tags keep the
@@ -346,8 +347,12 @@ impl FaultStream {
 /// Emits a structured `aegis-obs` fault event (`kind = "fault"`) and
 /// bumps the `faults.injected` counter. `detail` carries numeric
 /// context (slot, core, tick, …). Observability stays write-only:
-/// nothing here feeds back into the simulation.
+/// nothing here feeds back into the simulation. Inside [`quietly`] it
+/// does nothing.
 pub fn report(site: &str, action: &str, detail: &[(&str, u64)]) {
+    if QUIET.with(Cell::get) {
+        return;
+    }
     aegis_obs::counter_add("faults.injected", 1.0);
     aegis_obs::counter_add(&format!("faults.{site}.{action}"), 1.0);
     let mut fields: Vec<(&str, serde_json::Value)> = vec![
@@ -358,6 +363,25 @@ pub fn report(site: &str, action: &str, detail: &[(&str, u64)]) {
         fields.push((k, serde_json::Value::from(v)));
     }
     aegis_obs::event_with("fault", "fault.injected", &fields);
+}
+
+thread_local! {
+    static QUIET: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with [`report`] silenced on this thread. A simulation that
+/// draws a fault schedule twice (once as bookkeeping, once for real)
+/// runs the bookkeeping pass here, so every fault is reported once. The
+/// draws themselves are unaffected.
+pub fn quietly<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            QUIET.with(|q| q.set(self.0));
+        }
+    }
+    let _restore = Restore(QUIET.with(|q| q.replace(true)));
+    f()
 }
 
 /// Process-wide plan override. `None` = unset (fall through to env).
@@ -408,6 +432,21 @@ fn warn_bad_env_once(msg: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quietly_nests_and_restores_even_on_panic() {
+        let quiet = || QUIET.with(Cell::get);
+        assert!(!quiet());
+        quietly(|| {
+            assert!(quiet());
+            quietly(|| assert!(quiet()));
+            assert!(quiet(), "an inner scope keeps the outer one quiet");
+        });
+        assert!(!quiet());
+        let unwound = std::panic::catch_unwind(|| quietly(|| panic!("inside a quiet scope")));
+        assert!(unwound.is_err());
+        assert!(!quiet(), "unwinding restores reporting");
+    }
 
     /// Serializes tests that mutate the process-global plan override.
     fn test_guard() -> std::sync::MutexGuard<'static, ()> {

@@ -374,8 +374,8 @@ impl CoreBatch {
     /// sources the driver attaches.
     ///
     /// Lane `l` is bit-identical to `core.clone()` driven through the same
-    /// calls on the scalar [`Core`] — the invariant the scalar
-    /// `record_trace_multi` reference pins in the `aegis-sev` proptests.
+    /// calls on the scalar [`Core`] — the invariant the `aegis-sev`
+    /// proptests pin against `Host::record_trace` on detached forks.
     pub fn from_core_state(core: &Core, n_lanes: usize) -> Self {
         let mut batch = CoreBatch::from_template(core, &[]);
         batch.reset_from_core_state(core, n_lanes);

@@ -9,9 +9,11 @@
 //!    own RNG stream derived from `(base seed, stream tag, unit index)` —
 //!    never from a shared RNG whose consumption order would depend on
 //!    scheduling.
-//! 2. **Pristine per-unit state**: workers operate on worker-local or
-//!    per-unit replicas (cloned `Core`s, forked `Host`s), never on state
-//!    mutated by a previous unit in a scheduling-dependent order.
+//! 2. **Pristine per-unit state**: workers read shared state only through
+//!    shared references (trace collection records lanes off a `&Host`
+//!    snapshot) and mutate only worker-local or per-unit replicas (a
+//!    cloned `Core`, a forked `Host` per cell), never state mutated by a
+//!    previous unit in a scheduling-dependent order.
 //! 3. **Index-ordered results** ([`Executor::map`]): results are returned
 //!    in input order no matter which worker finished first.
 //!

@@ -176,7 +176,6 @@ impl Host {
                 cap: arch.uops_capacity_per_us(),
                 host_bg,
                 faults: plan,
-                reports_faults: true,
             },
             fault_state: (0..n_cores).map(|i| CoreFaultState::new(&plan, i)).collect(),
         }
@@ -382,9 +381,10 @@ impl Host {
     /// left detached in the fork; callers re-attach per-measurement
     /// sources, which is what every collection loop does anyway.
     ///
-    /// This is the replication primitive behind parallel trace
-    /// collection: each worker forks the prepared host once and replays
-    /// its assigned (secret, rep) units against the pristine replica.
+    /// Collection never forks: lane tiles
+    /// ([`Host::record_trace_multi_batch`]) replicate only the recorded
+    /// cores. A fork is for work that must advance a whole replica, such
+    /// as running an app to completion on a throwaway copy of the host.
     pub fn fork_detached(&self) -> Host {
         Host {
             arch: self.arch,
@@ -397,23 +397,6 @@ impl Host {
             // same fault schedule from the same point.
             fault_state: self.fault_state.clone(),
         }
-    }
-
-    /// [`Host::fork_detached`] into an existing `Host`, reusing its
-    /// allocations (core vectors, VM topology, fault-stream state)
-    /// instead of building a fresh replica. The result is identical to
-    /// `*out = self.fork_detached()` — this is the arena-reuse form the
-    /// collection loops call once per (secret, rep) unit, where the
-    /// replica's buffers survive across thousands of forks per worker.
-    pub fn fork_detached_into(&self, out: &mut Host) {
-        out.arch = self.arch;
-        out.cores.clone_from(&self.cores);
-        out.assignment.clone_from(&self.assignment);
-        out.vms.clear();
-        out.vms.extend(self.vms.iter().map(Host::detached_vm));
-        out.clock_ns = self.clock_ns;
-        out.env = self.env;
-        out.fault_state.clone_from(&self.fault_state);
     }
 
     /// A VM replicated without its process-unique activity sources (see
@@ -635,8 +618,7 @@ impl Host {
         }
     }
 
-    /// Advances simulated time by one tick on every core, then invokes
-    /// `observer(core_idx, core, TICK_NS)` so monitors can sample.
+    /// Advances simulated time by one tick on every core.
     ///
     /// Under an active fault plan the tick also draws this core's
     /// per-tick faults (timing jitter, injector stall/detach) and runs
@@ -647,14 +629,17 @@ impl Host {
     /// again). Fault draws come from per-core keyed streams, so the
     /// schedule is identical at any worker count; with an inert plan no
     /// draws happen and the tick is bit-identical to the unfaulted one.
-    pub fn tick<F: FnMut(usize, &mut Core, u64)>(&mut self, observer: F) {
-        self.tick_walking(None::<(usize, &mut MixCount)>, observer);
+    pub fn tick(&mut self) {
+        self.tick_walking(None::<(usize, &mut MixCount)>, |_, _| {});
     }
 
-    /// [`Host::tick`] with the core `walked.0` driven through the stand-in
-    /// `walked.1` instead of executing (the probe walk of
-    /// [`Host::record_probes`]); the observer never sees that core.
-    fn tick_walking<S: TickCore, F: FnMut(usize, &mut Core, u64)>(
+    /// [`Host::tick`], handing every executed core to `observer` (the
+    /// recorder of [`Host::record_trace`]), with the core `walked.0`
+    /// driven through the stand-in `walked.1` instead of executing (the
+    /// probe walk of [`Host::record_probes`]). The observer never sees
+    /// the walked core, and the walked core's fault draws are not
+    /// reported: the lane that replays the probe reports them.
+    fn tick_walking<S: TickCore, F: FnMut(usize, &mut Core)>(
         &mut self,
         mut walked: Option<(usize, &mut S)>,
         mut observer: F,
@@ -666,7 +651,7 @@ impl Host {
             });
             let fs = &mut self.fault_state[core_idx];
             match walked.as_mut() {
-                Some((w, stand_in)) if *w == core_idx => {
+                Some((w, stand_in)) if *w == core_idx => faults::quietly(|| {
                     tick_core(
                         &self.env,
                         core_idx,
@@ -675,11 +660,11 @@ impl Host {
                         fs,
                         guest,
                     );
-                }
+                }),
                 _ => {
                     let core = &mut self.cores[core_idx];
                     tick_core(&self.env, core_idx, self.clock_ns, core, fs, guest);
-                    observer(core_idx, core, TICK_NS);
+                    observer(core_idx, core);
                 }
             }
         }
@@ -687,9 +672,9 @@ impl Host {
     }
 
     /// Runs the host for `duration_ns` (rounded down to whole ticks).
-    pub fn run<F: FnMut(usize, &mut Core, u64)>(&mut self, duration_ns: u64, mut observer: F) {
+    pub fn run(&mut self, duration_ns: u64) {
         for _ in 0..duration_ns / TICK_NS {
-            self.tick(&mut observer);
+            self.tick();
         }
     }
 
@@ -711,80 +696,44 @@ impl Host {
                 let stats = self.vcpu_stats(vm, vcpu)?;
                 return Ok(stats.app_done_at_ns.map(|t| t - start));
             }
-            self.tick(|_, _, _| {});
+            self.tick();
         }
         Ok(None)
     }
 
-    /// Records an HPC trace on one physical core while the host runs —
-    /// the malicious hypervisor's attack acquisition, or the profiler's
-    /// measurement pass, depending on `filter`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PerfError`] from opening the recorder.
-    pub fn record_trace(
-        &mut self,
-        core_idx: usize,
-        events: &[EventId],
-        filter: OriginFilter,
-        interval_ns: u64,
-        duration_ns: u64,
-    ) -> Result<Trace, PerfError> {
-        let mut rec = TraceRecorder::open(
-            &mut self.cores[core_idx],
-            events,
-            filter,
-            interval_ns,
-            self.env.faults,
-        )?;
-        for _ in 0..duration_ns / TICK_NS {
-            self.tick(|idx, core, dur| {
-                if idx == core_idx {
-                    rec.on_executed(core, dur);
-                }
-            });
-        }
-        Ok(finish_one(rec, &mut self.cores[core_idx]))
-    }
-
-    /// Records HPC traces on several physical cores over the *same* run
-    /// — the cross-tenant attacker's acquisition: a malicious hypervisor
-    /// programming counters on both siblings of an SMT core pair (or any
-    /// core set) and sampling them in lockstep. Returns one [`Trace`]
-    /// per entry of `core_idxs`, in order, all covering the identical
-    /// simulated window.
+    /// Records HPC traces on physical cores while the host runs — the
+    /// malicious hypervisor's attack acquisition, or the profiler's
+    /// measurement pass, depending on `filter`. With several cores it is
+    /// the cross-tenant attacker's acquisition: counters programmed on
+    /// both siblings of an SMT core pair (or any core set) and sampled in
+    /// lockstep. Returns one [`Trace`] per entry of `cores`, in order,
+    /// all covering the identical simulated window.
     ///
     /// # Errors
     ///
     /// Propagates [`PerfError`] from opening any recorder. Recorders
     /// opened before the failure are finished, releasing their slots;
-    /// the failing core keeps its partial programming, as
-    /// [`Host::record_trace`] leaves it.
+    /// the failing core keeps its partial programming.
     ///
     /// # Panics
     ///
-    /// Panics if `core_idxs` contains duplicates or an out-of-range
-    /// index.
-    pub fn record_trace_multi(
+    /// Panics if `cores` contains duplicates or an out-of-range index.
+    pub fn record_trace(
         &mut self,
-        core_idxs: &[usize],
+        cores: &[usize],
         events: &[EventId],
         filter: OriginFilter,
         interval_ns: u64,
         duration_ns: u64,
     ) -> Result<Vec<Trace>, PerfError> {
-        for (i, &c) in core_idxs.iter().enumerate() {
-            assert!(c < self.cores.len(), "core index {c} out of range");
-            assert!(!core_idxs[..i].contains(&c), "duplicate core index {c}");
-        }
-        let mut recs = Vec::with_capacity(core_idxs.len());
-        for &c in core_idxs {
+        self.assert_distinct_cores(cores);
+        let mut recs = Vec::with_capacity(cores.len());
+        for &c in cores {
             let core = &mut self.cores[c];
             match TraceRecorder::open(core, events, filter, interval_ns, self.env.faults) {
                 Ok(rec) => recs.push(rec),
                 Err(e) => {
-                    for (&c, rec) in core_idxs.iter().zip(recs) {
+                    for (&c, rec) in cores.iter().zip(recs) {
                         rec.finish(&mut self.cores[c]);
                     }
                     return Err(e);
@@ -792,17 +741,28 @@ impl Host {
             }
         }
         for _ in 0..duration_ns / TICK_NS {
-            self.tick(|idx, core, dur| {
-                if let Some(pos) = core_idxs.iter().position(|&c| c == idx) {
-                    recs[pos].on_executed(core, dur);
+            self.tick_walking(None::<(usize, &mut MixCount)>, |idx, core| {
+                if let Some(pos) = cores.iter().position(|&c| c == idx) {
+                    recs[pos].on_executed(core, TICK_NS);
                 }
             });
         }
-        Ok(core_idxs
+        Ok(cores
             .iter()
             .zip(recs)
-            .map(|(&c, rec)| finish_one(rec, &mut self.cores[c]))
+            .map(|(&c, rec)| {
+                rec.finish(&mut self.cores[c])
+                    .pop()
+                    .expect("a core is one lane")
+            })
             .collect())
+    }
+
+    fn assert_distinct_cores(&self, cores: &[usize]) {
+        for (i, &c) in cores.iter().enumerate() {
+            assert!(c < self.cores.len(), "core index {c} out of range");
+            assert!(!cores[..i].contains(&c), "duplicate core index {c}");
+        }
     }
 
     /// The `(vm, vcpu)` currently scheduled on a physical core, if any —
@@ -816,8 +776,9 @@ impl Host {
         self.assignment[core_idx].map(|(vm_idx, vcpu_idx)| (self.vms[vm_idx].id, vcpu_idx))
     }
 
-    /// Records [`Host::record_trace_multi`] for many independent replicas
-    /// of this host at once — the lane-batched fleet acquisition path.
+    /// Records [`Host::record_trace`] for many independent replicas of
+    /// this host at once — the lane-batched acquisition path of every
+    /// collector.
     ///
     /// Each entry of `lanes` describes one replica: the activity sources
     /// (app plan, obfuscator) that replica would have attached to the
@@ -830,8 +791,8 @@ impl Host {
     /// draws (keyed per core index), guest arithmetic, and watchdog read
     /// and write only that core's state, so eliding the unrecorded cores
     /// of a detached fork cannot change what the recorded cores observe.
-    /// The scalar `record_trace_multi`-over-forks path remains the
-    /// bit-exact reference, pinned by proptests in this crate.
+    /// [`Host::record_trace`] on detached forks remains the bit-exact
+    /// reference, pinned by proptests in this crate.
     ///
     /// Lanes are tiled into cache-sized blocks
     /// ([`CoreBatch::TILE_LANES`] lanes across the group); every lane
@@ -861,10 +822,7 @@ impl Host {
         interval_ns: u64,
         duration_ns: u64,
     ) -> Result<Vec<Vec<Trace>>, PerfError> {
-        for (i, &c) in core_idxs.iter().enumerate() {
-            assert!(c < self.cores.len(), "core index {c} out of range");
-            assert!(!core_idxs[..i].contains(&c), "duplicate core index {c}");
-        }
+        self.assert_distinct_cores(core_idxs);
         for row in &lanes {
             assert_eq!(row.len(), core_idxs.len(), "lane row not aligned with core_idxs");
         }
@@ -953,6 +911,11 @@ impl Host {
     /// with an injector attached, whose watchdog makes the walk depend on
     /// the recorded core's execution.
     ///
+    /// Fault reports match the loop's as well: the walk draws the
+    /// recorded core's tick faults and opens its monitors
+    /// [`quietly`](aegis_faults::quietly), and each lane reports them as
+    /// it replays them, together with its counter-read faults.
+    ///
     /// # Errors
     ///
     /// [`ProbeError::Host`] for unknown ids (checked only when there is
@@ -980,23 +943,14 @@ impl Host {
             // recorded core's execution.
             for p in probes {
                 self.attach_app(vm, vcpu, Box::new(p.source))?;
-                sink(self.record_trace(
-                    core_idx,
-                    p.events,
-                    filter,
-                    p.interval_ns,
-                    p.duration_ns,
-                )?);
+                let mut traces =
+                    self.record_trace(&[core_idx], p.events, filter, p.interval_ns, p.duration_ns)?;
+                sink(traces.pop().expect("one trace per core"));
             }
             return Ok(());
         }
         let base = self.cores[core_idx].clone();
-        let lane_env = TickEnv {
-            // The walk reports the fault draws; lanes replaying them stay
-            // silent.
-            reports_faults: false,
-            ..self.env
-        };
+        let env = self.env;
         let tile_core = [TileCore {
             idx: core_idx,
             vm: Some(vm),
@@ -1005,8 +959,13 @@ impl Host {
         let mut cycles = 0;
         let failed = pool.stream(
             LANES_IN_FLIGHT_PER_WORKER * pool.threads(),
-            |_| CoreBatch::from_core_state(&base, 1),
-            |batch, _, lane: ProbeLane<'a>| lane.run(&lane_env, &tile_core, &base, batch),
+            // Each worker copies what its lanes read on every tick: the
+            // walk keeps writing this thread's stack, so reading these
+            // through references would share cache lines with it.
+            |_| (CoreBatch::from_core_state(&base, 1), env, tile_core, base.clone()),
+            |(batch, env, tile_core, base), _, lane: ProbeLane<'a>| {
+                lane.run(env, tile_core, base, batch)
+            },
             |lane| {
                 let (trace, lane_cycles) = lane.expect("a lane opens its monitor like the walk");
                 cycles += lane_cycles;
@@ -1025,9 +984,11 @@ impl Host {
                         .expect("ids checked above");
                     // Open (and close) the probe's monitor on the real
                     // core, so a failing open fails here, at the probe
-                    // where the loop's record_trace would.
+                    // where the loop's record_trace would. The lane's own
+                    // open reports its faults (or, for a failing probe,
+                    // the re-open below does).
                     let core = &mut self.cores[core_idx];
-                    match window.open(core, self.env.faults) {
+                    match faults::quietly(|| window.open(core, env.faults)) {
                         Ok(rec) => drop(rec.finish(core)),
                         Err(_) => return Some(window),
                     }
@@ -1039,7 +1000,7 @@ impl Host {
                         clock_ns: self.clock_ns,
                     });
                     for _ in 0..probe.duration_ns / TICK_NS {
-                        self.tick_walking(Some((core_idx, &mut walked)), |_, _, _| {});
+                        self.tick_walking(Some((core_idx, &mut walked)), |_, _| {});
                     }
                 }
                 None
@@ -1078,16 +1039,6 @@ struct TickEnv {
     /// Host-kernel background rate on every core.
     host_bg: ActivityVector,
     faults: FaultPlan,
-    /// Whether fault draws are reported to observability.
-    reports_faults: bool,
-}
-
-impl TickEnv {
-    fn report(&self, site: &str, action: &str, detail: &[(&str, u64)]) {
-        if self.reports_faults {
-            faults::report(site, action, detail);
-        }
-    }
 }
 
 /// The core one [`tick_core`] drives: a physical [`Core`], one lane of a
@@ -1186,17 +1137,17 @@ fn tick_core<C: TickCore>(
             // Timing jitter: the tick loses up to half its usable
             // capacity (frequency dip / SMT interference).
             cap *= 0.5 + 0.5 * ts.unit();
-            env.report("tick", "jitter", &[("core", core_idx as u64)]);
+            faults::report("tick", "jitter", &[("core", core_idx as u64)]);
         }
     }
     if let Some(is) = fs.inj_stream.as_mut() {
         if !fs.detached && is.chance(env.faults.injector_detach) {
             fs.detached = true;
-            env.report("injector", "detach", &[("core", core_idx as u64)]);
+            faults::report("injector", "detach", &[("core", core_idx as u64)]);
         }
         if fs.stall_left == 0 && !fs.detached && is.chance(env.faults.injector_stall) {
             fs.stall_left = env.faults.stall_ticks.max(1);
-            env.report(
+            faults::report(
                 "injector",
                 "stall",
                 &[
@@ -1324,11 +1275,6 @@ fn tick_core<C: TickCore>(
             }
         }
     }
-}
-
-/// Finishes a recording on one core, its bank's only lane.
-fn finish_one(rec: TraceRecorder, core: &mut Core) -> Trace {
-    rec.finish(core).pop().expect("a core is one lane")
 }
 
 /// A recorded core of a lane tile: its index and the VM scheduled there.
@@ -1618,8 +1564,9 @@ mod tests {
         )
         .unwrap();
         let trace = host
-            .record_trace(core, &[ev], OriginFilter::Any, 1_000_000, 5_000_000)
-            .unwrap();
+            .record_trace(&[core], &[ev], OriginFilter::Any, 1_000_000, 5_000_000)
+            .unwrap()
+            .remove(0);
         assert!(trace.totals()[0] > 1_000_000.0, "{:?}", trace.totals());
     }
 
@@ -1687,7 +1634,7 @@ mod tests {
         )
         .unwrap();
         host.reset_vm_stats(vm).unwrap();
-        host.run(200_000_000, |_, _, _| {});
+        host.run(200_000_000);
         let base = host.vm_cpu_usage(vm).unwrap();
         // Now add an injector at 400 uops/us on the same vCPU.
         let mut inj_spec = MixSpec::idle();
@@ -1697,7 +1644,7 @@ mod tests {
         host.attach_injector(vm, 0, Box::new(PlanSource::new(inj_plan)))
             .unwrap();
         host.reset_vm_stats(vm).unwrap();
-        host.run(200_000_000, |_, _, _| {});
+        host.run(200_000_000);
         let with_inj = host.vm_cpu_usage(vm).unwrap();
         assert!(
             (with_inj - 2.0 * base).abs() / base < 0.3,
@@ -1714,7 +1661,7 @@ mod tests {
             Box::new(PlanSource::new(steady_plan(100.0, 50_000_000))),
         )
         .unwrap();
-        host.run(50_000_000, |_, _, _| {});
+        host.run(50_000_000);
         let s = host.vcpu_stats(vm, 0).unwrap();
         assert!(s.app_uops > 4_000_000.0, "{}", s.app_uops);
         assert_eq!(s.injected_uops, 0.0);
@@ -1723,7 +1670,7 @@ mod tests {
     #[test]
     fn clock_advances_by_ticks() {
         let (mut host, _) = host_with_vm();
-        host.run(1_000_000, |_, _, _| {});
+        host.run(1_000_000);
         assert_eq!(host.clock_ns(), 1_000_000);
     }
 
@@ -1750,7 +1697,7 @@ mod tests {
         let core = host.core_of(vm, 0).unwrap();
         let (mut latched, mut released, mut prev) = (0u32, 0u32, false);
         for _ in 0..2_000 {
-            host.tick(|_, _, _| {});
+            host.tick();
             let now = host.core_fail_closed(core);
             if now && !prev {
                 latched += 1;
@@ -1781,11 +1728,11 @@ mod tests {
         let core = host.core_of(vm, 0).unwrap();
         for _ in 0..WATCHDOG_TICKS {
             assert!(!host.core_fail_closed(core));
-            host.tick(|_, _, _| {});
+            host.tick();
         }
         assert!(host.core_fail_closed(core), "latched after WATCHDOG_TICKS");
         for _ in 0..100 {
-            host.tick(|_, _, _| {});
+            host.tick();
             assert!(host.core_fail_closed(core), "detach never heals");
         }
         // Fail-closed means the PMU lane itself reads zero.
@@ -1819,57 +1766,10 @@ mod tests {
                 .catalog()
                 .lookup(named::RETIRED_UOPS)
                 .unwrap();
-            host.record_trace(core, &[ev], OriginFilter::Any, 1_000_000, 20_000_000)
+            host.record_trace(&[core], &[ev], OriginFilter::Any, 1_000_000, 20_000_000)
                 .unwrap()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn fork_detached_into_matches_fork_detached() {
-        let (mut host, vm) = host_with_vm();
-        host.attach_app(
-            vm,
-            0,
-            Box::new(PlanSource::new(steady_plan(300.0, 20_000_000))),
-        )
-        .unwrap();
-        for _ in 0..50 {
-            host.tick(|_, _, _| {});
-        }
-        let core = host.core_of(vm, 0).unwrap();
-        let ev = host
-            .core(core)
-            .catalog()
-            .lookup(named::RETIRED_UOPS)
-            .unwrap();
-
-        let mut fresh = host.fork_detached();
-        // A dirty arena — a replica that already ran its own measurements
-        // — must be overwritten completely by the in-place fork.
-        let mut arena = host.fork_detached();
-        arena
-            .attach_app(
-                vm,
-                0,
-                Box::new(PlanSource::new(steady_plan(900.0, 5_000_000))),
-            )
-            .unwrap();
-        let _ = arena.record_trace(core, &[ev], OriginFilter::Any, 500_000, 3_000_000);
-        host.fork_detached_into(&mut arena);
-        assert_eq!(fresh.clock_ns(), arena.clock_ns());
-
-        let measure = |h: &mut Host| {
-            h.attach_app(
-                vm,
-                0,
-                Box::new(PlanSource::new(steady_plan(300.0, 20_000_000))),
-            )
-            .unwrap();
-            h.record_trace(core, &[ev], OriginFilter::Any, 1_000_000, 10_000_000)
-                .unwrap()
-        };
-        assert_eq!(measure(&mut fresh), measure(&mut arena));
     }
 
     #[test]
@@ -1883,7 +1783,7 @@ mod tests {
         // runs on this core, so the latch holds indefinitely.
         host.set_core_fail_closed(core, true);
         for _ in 0..100 {
-            host.tick(|_, _, _| {});
+            host.tick();
             assert!(host.core_fail_closed(core));
             assert!(host.core(core).pmu().fail_closed());
         }
@@ -1897,7 +1797,7 @@ mod tests {
             host.injector_status(vm, 0).unwrap(),
             Some(ProtectionStatus::Healthy)
         );
-        host.tick(|_, _, _| {});
+        host.tick();
         assert!(!host.core_fail_closed(core), "healthy run releases");
 
         // Idempotent off.
@@ -1942,7 +1842,7 @@ mod tests {
         let victim = host.launch_vm_pinned(&[1], SevMode::SevSnp).unwrap();
         let decoy = host.launch_vm_pinned(&[2], SevMode::SevSnp).unwrap();
         for _ in 0..7 {
-            host.tick(|_, _, _| {});
+            host.tick();
         }
         (host, victim, decoy)
     }
@@ -1982,7 +1882,7 @@ mod tests {
                 Box::new(PlanSource::new(steady_plan(500.0, window_ns))),
             )
             .unwrap();
-        replica.record_trace_multi(&[0, 1], &events, OriginFilter::Any, interval_ns, window_ns)
+        replica.record_trace(&[0, 1], &events, OriginFilter::Any, interval_ns, window_ns)
     }
 
     fn batched_pair_traces(
@@ -2098,14 +1998,14 @@ mod tests {
         let events = host_for(0).core(0).catalog().attack_events();
         let opens = |seed, core| {
             host_for(seed)
-                .record_trace(core, &events, OriginFilter::Any, 1_000_000, 0)
+                .record_trace(&[core], &events, OriginFilter::Any, 1_000_000, 0)
                 .is_ok()
         };
         let seed = (0..200)
             .find(|&seed| opens(seed, 0) && !opens(seed, 1))
             .expect("some seed opens core 0 and fails core 1");
         let mut host = host_for(seed);
-        let got = host.record_trace_multi(&[0, 1], &events, OriginFilter::Any, 1_000_000, 1_000_000);
+        let got = host.record_trace(&[0, 1], &events, OriginFilter::Any, 1_000_000, 1_000_000);
         assert!(got.is_err());
         assert!(
             (0..COUNTER_SLOTS).all(|slot| host.core(0).pmu().programmed_event(slot).is_none()),

@@ -4,8 +4,8 @@
 //! with 1, 4, 6 and 12 monitored events (one group, one full group, two
 //! and three multiplexed groups) and both the host-wide and the
 //! guest-only filter, a digest folds every sample of
-//! `Host::record_trace` on one core and of `Host::record_trace_multi` on
-//! two cores — or the open error when a counter fails to program. Any
+//! `Host::record_trace` on one core and on two cores — or the open error
+//! when a counter fails to program. Any
 //! change to counter programming, multiplex rotation and scaling, the
 //! read faults, slot steals or interval sampling moves a digest.
 
@@ -18,7 +18,7 @@ use aegis_workloads::{MixSpec, Segment, WorkloadPlan};
 const INTERVAL_NS: u64 = 1_000_000;
 const DURATION_NS: u64 = 30_000_000;
 
-/// `(arch index, plan, events, guest-only, record_trace, record_trace_multi)`.
+/// `(arch index, plan, events, guest-only, one core, two cores)`.
 const PINS: &[(usize, &str, usize, bool, u64, u64)] = &[
     (0, "none", 1, false, 0x0570c0e2c98661c2, 0x86beedf5c4f70048),
     (0, "none", 1, true, 0xe0bc1dd3f2ac63a4, 0x224c120050bd3245),
@@ -146,7 +146,7 @@ fn host(arch: MicroArch, plan: FaultPlan) -> (Host, VmId) {
     host.attach_app(other, 0, Box::new(PlanSource::new(stepped_plan(420.0))))
         .unwrap();
     for _ in 0..7 {
-        host.tick(|_, _, _| {});
+        host.tick();
     }
     (host, victim)
 }
@@ -215,12 +215,9 @@ fn digests(arch_ix: usize, plan_name: &str, n_events: usize, guest_only: bool) -
         OriginFilter::Any
     };
     let mut single = Fnv::new();
-    single.traces(
-        host.record_trace(1, &ids, filter, INTERVAL_NS, DURATION_NS)
-            .map(|t| vec![t]),
-    );
+    single.traces(host.record_trace(&[1], &ids, filter, INTERVAL_NS, DURATION_NS));
     let mut multi = Fnv::new();
-    multi.traces(host.record_trace_multi(&[1, 2], &ids, filter, INTERVAL_NS, DURATION_NS));
+    multi.traces(host.record_trace(&[1, 2], &ids, filter, INTERVAL_NS, DURATION_NS));
     (single.0, multi.0)
 }
 

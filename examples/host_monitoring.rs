@@ -44,7 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(3);
     let plan = app.sample_plan(2, &mut rng); // facebook.com
     host.attach_app(vm, 0, Box::new(PlanSource::new(plan)))?;
-    let trace = host.record_trace(core, &events, OriginFilter::Any, 50_000_000, 500_000_000)?;
+    let trace = host
+        .record_trace(&[core], &events, OriginFilter::Any, 50_000_000, 500_000_000)?
+        .remove(0);
 
     println!(
         "\nHPC trace while the guest loads {} (50 ms samples):",
@@ -64,13 +66,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Idle comparison: the signal is unmistakably the guest's.
     host.attach_app(vm, 0, Box::new(PlanSource::new(Default::default())))?;
-    let idle = host.record_trace(
-        core,
-        &catalog.attack_events(),
-        OriginFilter::Any,
-        50_000_000,
-        200_000_000,
-    )?;
+    let idle = host
+        .record_trace(
+            &[core],
+            &catalog.attack_events(),
+            OriginFilter::Any,
+            50_000_000,
+            200_000_000,
+        )?
+        .remove(0);
     println!(
         "\nidle-guest counter totals for comparison: {:?}",
         idle.totals().iter().map(|x| *x as u64).collect::<Vec<_>>()

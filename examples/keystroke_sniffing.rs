@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         per_secret_noise: false,
     };
     println!("training the keystroke sniffer ...");
-    let template = Collector::for_traces(collect).dataset(&mut host, vm, 0, &app, &events, None)?;
+    let template = Collector::for_traces(collect).dataset(&host, vm, 0, &app, &events, None)?;
     let attacker = ClassifierAttack::train(&template, TrainConfig::default(), 7);
     println!(
         "sniffer validation accuracy: {:.1}% (random guess 10%)",
@@ -81,8 +81,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut victim_cfg = collect;
         victim_cfg.seed = 1000 + exp.unsigned_abs() as u64;
         victim_cfg.traces_per_secret = 10;
-        let defended = Collector::for_traces(victim_cfg)
-            .dataset(&mut host, vm, 0, &app, &events, Some(&deployment))?;
+        let defended = Collector::for_traces(victim_cfg).dataset(
+            &host,
+            vm,
+            0,
+            &app,
+            &events,
+            Some(&deployment),
+        )?;
         let run = measure_app_run(&mut host, vm, 0, plan600.clone(), Some(&deployment), 1)?;
         println!(
             "  2^{exp:<+3}      {:>6.1}%            {:>+6.2}%",

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 7,
     };
     println!("monitoring inference of {} models ...", zoo.n_secrets());
-    let runs = Collector::for_mea(cfg).mea_runs(&mut host, vm, 0, &zoo, &events, None)?;
+    let runs = Collector::for_mea(cfg).mea_runs(&host, vm, 0, &zoo, &events, None)?;
     let attacker = MeaAttack::train(&runs, TrainConfig::default(), 7);
     println!(
         "slice-classifier validation accuracy: {:.1}%",
@@ -58,8 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut victim_cfg = cfg;
     victim_cfg.runs_per_model = 1;
     victim_cfg.seed = 99;
-    let victims =
-        Collector::for_mea(victim_cfg).mea_runs(&mut host, vm, 0, &zoo, &events, None)?;
+    let victims = Collector::for_mea(victim_cfg).mea_runs(&host, vm, 0, &zoo, &events, None)?;
     println!("\nlegend: C=conv F=fc P=pool B=bn R=relu D=dropout +=add #=concat G=gru A=attn E=embed S=softmax");
     for (model, run) in victims.iter().take(4) {
         let extracted = attacker.extract(run);
@@ -110,8 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let deployment =
         aegis::DefenseDeployment::new(&plan, aegis::MechanismChoice::Laplace { epsilon: 0.125 });
-    let defended = Collector::for_mea(victim_cfg)
-        .mea_runs(&mut host, vm, 0, &zoo, &events, Some(&deployment))?;
+    let defended =
+        Collector::for_mea(victim_cfg).mea_runs(&host, vm, 0, &zoo, &events, Some(&deployment))?;
     println!(
         "extraction accuracy under Aegis: {:.1}%",
         attacker.sequence_accuracy(&defended) * 100.0

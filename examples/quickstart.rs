@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Let the VM run and show that noise is being injected.
     template.reset_vm_stats(vm)?;
-    template.run(100_000_000, |_, _, _| {});
+    template.run(100_000_000);
     let stats = template.vcpu_stats(vm, 0)?;
     println!(
         "      after 100 ms: {:.2e} noise µops injected ({:.1}% of one core)",

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\ncollecting {} template traces ...",
         45 * collect.traces_per_secret
     );
-    let template = Collector::for_traces(collect).dataset(&mut host, vm, 0, &app, &events, None)?;
+    let template = Collector::for_traces(collect).dataset(&host, vm, 0, &app, &events, None)?;
     let attacker = ClassifierAttack::train(&template, TrainConfig::default(), 7);
     println!(
         "attacker validation accuracy: {:.1}%",
@@ -51,8 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut victim_cfg = collect;
     victim_cfg.seed = 99;
     victim_cfg.traces_per_secret = 4;
-    let victim =
-        Collector::for_traces(victim_cfg).dataset(&mut host, vm, 0, &app, &events, None)?;
+    let victim = Collector::for_traces(victim_cfg).dataset(&host, vm, 0, &app, &events, None)?;
     println!(
         "victim-VM fingerprinting accuracy (undefended): {:.1}%  — the side channel works",
         attacker.accuracy(&victim) * 100.0
@@ -92,8 +91,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("d* ε=2³", MechanismChoice::DStar { epsilon: 8.0 }),
     ] {
         let deployment = DefenseDeployment::new(&plan, mech);
-        let defended = Collector::for_traces(victim_cfg)
-            .dataset(&mut host, vm, 0, &app, &events, Some(&deployment))?;
+        let defended = Collector::for_traces(victim_cfg).dataset(
+            &host,
+            vm,
+            0,
+            &app,
+            &events,
+            Some(&deployment),
+        )?;
         println!(
             "victim accuracy under {label}: {:.1}%  (random guess {:.1}%)",
             attacker.accuracy(&defended) * 100.0,

@@ -22,8 +22,10 @@ echo "== cargo test -q =="
 # first-party crate, so this runs each crate's own suite too. The
 # lane-vs-scalar bit-exactness checks live in crates/microarch (engine
 # proptests), crates/sev (recording proptests), tests/profiler_probes.rs
-# (probe lanes), crates/perf (one recorder over a core and a lane group)
-# and crates/aegis (dataset and cross-tenant lanes vs their forks).
+# (probe lanes), crates/perf (one recorder over a core and a lane group),
+# crates/aegis's unit tests (dataset and cross-tenant lanes vs their
+# forks) and crates/aegis/tests/mea_pin.rs (MEA lanes vs digests pinned
+# on the per-unit fork loop).
 cargo test -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
@@ -55,6 +57,13 @@ echo "== recording pin (AEGIS_FAULTS=smoke) =="
 # with the smoke plan ambient: the recorder takes only the host's
 # explicit plan, so this proves it reads no ambient plan.
 AEGIS_FAULTS=smoke cargo test -q -p aegis-sev --test recording_pin
+
+echo "== MEA collection pin (AEGIS_FAULTS=smoke) =="
+# Model-extraction runs, recorded as lanes, must match the digests pinned
+# on the per-unit fork loop with the smoke plan ambient. The file keeps a
+# second digest column for this pass: its no-defense rows equal the first
+# column, which proves recording reads only the host's explicit plan.
+AEGIS_FAULTS=smoke cargo test -q -p aegis --test mea_pin
 
 echo "== service matrix (AEGIS_FAULTS=smoke) =="
 # The supervised service-plane properties (watchdog restart recovery,

@@ -67,7 +67,7 @@ fn attack_collapses_under_deployed_defense() {
 
     // 1. The attack works on the undefended guest.
     let clean = Collector::for_traces(cfg)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
     let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), 7);
     let clean_acc = attacker.curve.final_val_acc();
@@ -90,7 +90,7 @@ fn attack_collapses_under_deployed_defense() {
     victim_cfg.seed = 99;
     victim_cfg.traces_per_secret = 8;
     let defended = Collector::for_traces(victim_cfg)
-        .dataset(&mut host, vm, 0, &app, &events, Some(&deployment))
+        .dataset(&host, vm, 0, &app, &events, Some(&deployment))
         .unwrap();
     let def_acc = attacker.accuracy(&defended);
     let chance = 1.0 / app.n_secrets() as f64;
@@ -120,7 +120,7 @@ fn dstar_defends_better_than_laplace_at_equal_epsilon() {
     let cfg = collect_cfg();
 
     let clean = Collector::for_traces(cfg)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
     let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), 7);
     let plan = AegisPipeline::offline(&mut host, vm, 0, &app, &quick_pipeline()).unwrap();
@@ -137,7 +137,7 @@ fn dstar_defends_better_than_laplace_at_equal_epsilon() {
         victim_cfg.seed = 1234;
         victim_cfg.traces_per_secret = 8;
         let defended = Collector::for_traces(victim_cfg)
-            .dataset(&mut host, vm, 0, &app, &events, Some(&deployment))
+            .dataset(&host, vm, 0, &app, &events, Some(&deployment))
             .unwrap();
         accs.push(attacker.accuracy(&defended));
     }
@@ -162,7 +162,7 @@ fn deploy_all_covers_every_vcpu() {
     let deployment = DefenseDeployment::new(&plan, MechanismChoice::Laplace { epsilon: 1.0 });
     deployment.deploy_all(&mut host, vm, 42).unwrap();
     host.reset_vm_stats(vm).unwrap();
-    host.run(50_000_000, |_, _, _| {});
+    host.run(50_000_000);
     for vcpu in 0..4 {
         let stats = host.vcpu_stats(vm, vcpu).unwrap();
         assert!(
@@ -218,7 +218,7 @@ fn defense_plan_survives_serialization_roundtrip() {
     let deployment = DefenseDeployment::new(&restored, MechanismChoice::Laplace { epsilon: 1.0 });
     deployment.deploy(&mut host, vm, 0, 1).unwrap();
     host.reset_vm_stats(vm).unwrap();
-    host.run(20_000_000, |_, _, _| {});
+    host.run(20_000_000);
     assert!(host.vcpu_stats(vm, 0).unwrap().injected_uops > 0.0);
 }
 

@@ -60,14 +60,22 @@ fn detached_injector_blinds_the_guest_visible_trace() {
         .lookup(named::RETIRED_UOPS)
         .unwrap();
     let faulted = host
-        .record_trace(core, &[ev], OriginFilter::Any, 1_000_000, 30_000_000)
-        .unwrap();
+        .record_trace(&[core], &[ev], OriginFilter::Any, 1_000_000, 30_000_000)
+        .unwrap()
+        .remove(0);
     assert!(host.core_fail_closed(core), "detach must latch the core");
 
     let (mut twin, twin_core) = guest_host(FaultPlan::none(), 5, 300.0, false);
     let clean = twin
-        .record_trace(twin_core, &[ev], OriginFilter::Any, 1_000_000, 30_000_000)
-        .unwrap();
+        .record_trace(
+            &[twin_core],
+            &[ev],
+            OriginFilter::Any,
+            1_000_000,
+            30_000_000,
+        )
+        .unwrap()
+        .remove(0);
     assert!(!twin.core_fail_closed(twin_core));
 
     assert_eq!(faulted.len(), clean.len());
@@ -113,8 +121,8 @@ proptest! {
 
         let mut latched_ticks = 0u32;
         for t in 0..400u32 {
-            faulted.tick(|_, _, _| {});
-            clean.tick(|_, _, _| {});
+            faulted.tick();
+            clean.tick();
             let fv = faulted.core(fc).pmu().rdpmc(0).unwrap();
             let cv = clean.core(cc).pmu().rdpmc(0).unwrap();
             prop_assert!(cv > 0, "clean twin must observe activity at tick {}", t);
@@ -155,8 +163,9 @@ fn fault_schedules_replay_bit_identically() {
             .catalog()
             .lookup(named::RETIRED_UOPS)
             .unwrap();
-        host.record_trace(core, &[ev], OriginFilter::Any, 1_000_000, 20_000_000)
+        host.record_trace(&[core], &[ev], OriginFilter::Any, 1_000_000, 20_000_000)
             .unwrap()
+            .remove(0)
     };
     assert_eq!(collect(plan), collect(plan));
     assert_ne!(
@@ -186,8 +195,9 @@ fn inert_plan_is_bit_identical_to_the_default_host() {
             .catalog()
             .lookup(named::RETIRED_UOPS)
             .unwrap();
-        host.record_trace(core, &[ev], OriginFilter::Any, 1_000_000, 20_000_000)
+        host.record_trace(&[core], &[ev], OriginFilter::Any, 1_000_000, 20_000_000)
             .unwrap()
+            .remove(0)
     };
     let plain = record(Host::new(MicroArch::AmdEpyc7252, 2, 4));
     let inert = record(Host::with_faults(

@@ -333,7 +333,7 @@ fn batched_host_recording_matches_detached_fork_replicas() {
 
     let mut fork = fleet.host(0).fork_detached();
     let scalar = fork
-        .record_trace_multi(&cores, &[ev], OriginFilter::Any, record_args.0, record_args.1)
+        .record_trace(&cores, &[ev], OriginFilter::Any, record_args.0, record_args.1)
         .unwrap();
 
     let lanes: Vec<Vec<LaneGuest>> = (0..5)
@@ -355,7 +355,7 @@ fn batched_host_recording_matches_detached_fork_replicas() {
     fork.attach_app(vm, vcpu, Box::new(PlanSource::new(plan.clone())))
         .unwrap();
     let loaded_scalar = fork
-        .record_trace_multi(&cores, &[ev], OriginFilter::Any, record_args.0, record_args.1)
+        .record_trace(&cores, &[ev], OriginFilter::Any, record_args.0, record_args.1)
         .unwrap();
     let loaded_lane = vec![vec![
         LaneGuest {

@@ -37,11 +37,13 @@ fn per_core_counters_isolate_coresident_vms() {
         .lookup(named::RETIRED_UOPS)
         .unwrap();
     let trace_a = host
-        .record_trace(core_a, &[ev], OriginFilter::Any, 10_000_000, 100_000_000)
-        .unwrap();
+        .record_trace(&[core_a], &[ev], OriginFilter::Any, 10_000_000, 100_000_000)
+        .unwrap()
+        .remove(0);
     let trace_b = host
-        .record_trace(core_b, &[ev], OriginFilter::Any, 10_000_000, 100_000_000)
-        .unwrap();
+        .record_trace(&[core_b], &[ev], OriginFilter::Any, 10_000_000, 100_000_000)
+        .unwrap()
+        .remove(0);
     // Core A sees only host background (~1 µop/µs); core B sees the load.
     assert!(
         trace_a.totals()[0] < trace_b.totals()[0] / 50.0,
@@ -58,13 +60,13 @@ fn detach_injector_stops_noise_immediately() {
     host.attach_injector(vm, 0, Box::new(ConstantLoad(200.0)))
         .unwrap();
     host.reset_vm_stats(vm).unwrap();
-    host.run(10_000_000, |_, _, _| {});
+    host.run(10_000_000);
     let with = host.vcpu_stats(vm, 0).unwrap().injected_uops;
     assert!(with > 0.0);
 
     host.detach_injector(vm, 0).unwrap();
     host.reset_vm_stats(vm).unwrap();
-    host.run(10_000_000, |_, _, _| {});
+    host.run(10_000_000);
     let without = host.vcpu_stats(vm, 0).unwrap().injected_uops;
     assert_eq!(without, 0.0);
 }
@@ -87,12 +89,12 @@ fn stats_reset_opens_a_fresh_measurement_window() {
     let vm = host.launch_vm(1, SevMode::SevSnp).unwrap();
     host.attach_app(vm, 0, Box::new(ConstantLoad(400.0)))
         .unwrap();
-    host.run(50_000_000, |_, _, _| {});
+    host.run(50_000_000);
     let first = host.vcpu_stats(vm, 0).unwrap().app_uops;
     assert!(first > 0.0);
     host.reset_vm_stats(vm).unwrap();
     assert_eq!(host.vcpu_stats(vm, 0).unwrap().app_uops, 0.0);
-    host.run(50_000_000, |_, _, _| {});
+    host.run(50_000_000);
     let second = host.vcpu_stats(vm, 0).unwrap().app_uops;
     assert!((second - first).abs() / first < 0.05, "{first} vs {second}");
 }
@@ -105,22 +107,25 @@ fn cpu_usage_matches_demand_fraction() {
     host.attach_app(vm, 0, Box::new(ConstantLoad(cap * 0.25)))
         .unwrap();
     host.reset_vm_stats(vm).unwrap();
-    host.run(100_000_000, |_, _, _| {});
+    host.run(100_000_000);
     let usage = host.vm_cpu_usage(vm).unwrap();
     assert!((usage - 0.25).abs() < 0.02, "usage {usage}");
 }
 
 #[test]
-fn observer_sees_every_core_every_tick() {
+fn every_tick_runs_every_core_and_advances_the_clock() {
     let mut host = Host::new(MicroArch::AmdEpyc7252, 3, 3);
-    let mut seen = vec![0usize; 3];
-    for _ in 0..5 {
-        host.tick(|idx, _, dur| {
-            assert_eq!(dur, TICK_NS);
-            seen[idx] += 1;
-        });
+    for tick in 1..=5 {
+        let before: Vec<u64> = (0..3).map(|c| host.core(c).cycles()).collect();
+        host.tick();
+        for (c, &cycles) in before.iter().enumerate() {
+            assert!(
+                host.core(c).cycles() > cycles,
+                "core {c} idle at tick {tick}"
+            );
+        }
+        assert_eq!(host.clock_ns(), tick * TICK_NS);
     }
-    assert_eq!(seen, vec![5, 5, 5]);
 }
 
 #[test]

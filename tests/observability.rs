@@ -7,11 +7,12 @@
 //! All tests mutate the process-global observability state (level,
 //! sink, `AEGIS_OBS_DIR`), so they serialize through [`OBS_STATE`].
 
-use aegis::microarch::MicroArch;
+use aegis::faults::FaultPlan;
+use aegis::microarch::{MicroArch, OriginFilter};
 use aegis::obs::{self, ObsLevel};
-use aegis::par::ArtifactCache;
-use aegis::sev::{Host, SevMode};
-use aegis::workloads::WebsiteCatalog;
+use aegis::par::{set_threads, ArtifactCache};
+use aegis::sev::{Host, PlanSource, Probe, SevMode};
+use aegis::workloads::{MixSpec, Segment, WebsiteCatalog, WorkloadPlan};
 use aegis::{CollectConfig, Collector};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -55,7 +56,7 @@ fn collect_once() -> aegis::attack::Dataset {
         per_secret_noise: false,
     };
     Collector::for_traces(cfg)
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap()
 }
 
@@ -211,4 +212,98 @@ fn summary_renders_span_table_after_a_run() {
     );
 
     teardown(&[&dir]);
+}
+
+/// Fault counters count each injected fault once whether the profiler's
+/// probes run as lanes (`Host::record_probes`) or as the attach + record
+/// loop, both when every probe opens after retries and when the first
+/// probe's open fails.
+#[test]
+fn probe_lanes_count_each_program_fault_once() {
+    let _guard = obs_guard();
+    obs::reset();
+    obs::set_level(Some(ObsLevel::Summary));
+    // Two workers, so the probes really run as lanes.
+    set_threads(2);
+    let fault_counters = |record: &mut dyn FnMut()| {
+        let before = obs::snapshot();
+        record();
+        let mut delta = obs::snapshot().since(&before).counters;
+        delta.retain(|name, n| name.starts_with("faults.") && *n > 0.0);
+        delta
+    };
+    let mut outcomes = Vec::new();
+    for pmc_program_fail in [0.4, 0.9] {
+        let plan = FaultPlan {
+            pmc_program_fail,
+            ..FaultPlan::smoke()
+        };
+        let twin = || {
+            let mut host = Host::with_faults(MicroArch::AmdEpyc7252, 2, 5, plan);
+            let vm = host.launch_vm(1, SevMode::SevSnp).unwrap();
+            (host, vm)
+        };
+        let (mut lanes, vm) = twin();
+        let (mut looped, _) = twin();
+        let core = lanes.core_of(vm, 0).unwrap();
+        let events = lanes.core(core).catalog().attack_events();
+        let probes = || {
+            (0..4u32).map(|i| {
+                let mut spec = MixSpec::idle();
+                spec.uops_per_us = 200.0 + 150.0 * f64::from(i);
+                let mut app = WorkloadPlan::new();
+                app.push(Segment::new(1 << 40, spec.build()));
+                Probe {
+                    source: PlanSource::new(app),
+                    events: &events,
+                    interval_ns: 1_000_000,
+                    duration_ns: 6_000_000,
+                }
+            })
+        };
+        let mut failed = false;
+        let got = fault_counters(&mut || {
+            failed = lanes
+                .record_probes(vm, 0, OriginFilter::Any, probes(), drop)
+                .is_err();
+        });
+        let want = fault_counters(&mut || {
+            for p in probes() {
+                looped.attach_app(vm, 0, Box::new(p.source)).unwrap();
+                let traced = looped.record_trace(
+                    &[core],
+                    p.events,
+                    OriginFilter::Any,
+                    p.interval_ns,
+                    p.duration_ns,
+                );
+                if traced.is_err() {
+                    break;
+                }
+            }
+        });
+        outcomes.push((pmc_program_fail, failed, got, want));
+    }
+    set_threads(0);
+    teardown(&[]);
+    assert_eq!(
+        outcomes.iter().map(|o| o.1).collect::<Vec<_>>(),
+        [false, true],
+        "one plan must let every probe open, the other fail the first"
+    );
+    for (rate, _, got, want) in outcomes {
+        assert!(
+            want.get("faults.pmc_program.fail").copied().unwrap_or(0.0) > 0.0,
+            "programming must fail under rate {rate}: {want:?}"
+        );
+        assert_eq!(
+            got.get("faults.pmc_program.fail"),
+            want.get("faults.pmc_program.fail"),
+            "probe lanes and the loop count programming faults differently (rate {rate})"
+        );
+        assert_eq!(
+            got, want,
+            "probe lanes and the loop count faults differently (rate {rate})"
+        );
+    }
 }

@@ -36,7 +36,7 @@ fn collect_with_threads(n: usize) -> aegis::attack::Dataset {
     let app = WebsiteCatalog::new(3);
     let events = host.core(core).catalog().attack_events();
     Collector::for_traces(small_collect())
-        .dataset(&mut host, vm, 0, &app, &events, None)
+        .dataset(&host, vm, 0, &app, &events, None)
         .unwrap()
 }
 
@@ -278,8 +278,12 @@ fn per_trace_forks_leave_the_original_host_pristine() {
     let app = WebsiteCatalog::new(3);
     let events = host.core(core).catalog().attack_events();
     let collector = Collector::for_traces(small_collect());
-    let first = collector.dataset(&mut host, vm, 0, &app, &events, None).unwrap();
-    let second = collector.dataset(&mut host, vm, 0, &app, &events, None).unwrap();
+    let first = collector
+        .dataset(&host, vm, 0, &app, &events, None)
+        .unwrap();
+    let second = collector
+        .dataset(&host, vm, 0, &app, &events, None)
+        .unwrap();
     assert_eq!(first, second);
 }
 
@@ -304,13 +308,14 @@ fn fork_detached_drops_attachments_but_keeps_the_testbed() {
     let mut fork2 = fork.fork_detached();
     let trace = fork2
         .record_trace(
-            core,
+            &[core],
             &events,
             aegis::microarch::OriginFilter::GuestOnly(vm.0),
             10_000_000,
             50_000_000,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
     assert!(
         trace.totals().iter().all(|&t| t == 0.0),
         "detached fork still runs guest activity: {:?}",

@@ -35,7 +35,7 @@ fn host(arch: MicroArch, seed: u64, plan: FaultPlan) -> (Host, VmId, VmId) {
     )
     .unwrap();
     for _ in 0..5 {
-        host.tick(|_, _, _| {});
+        host.tick();
     }
     (host, vm, bystander)
 }
@@ -59,7 +59,9 @@ fn scalar_loop(
     for p in probes {
         host.attach_app(vm, 0, Box::new(p.source))?;
         let core = host.core_of(vm, 0)?;
-        traces.push(host.record_trace(core, p.events, filter, p.interval_ns, p.duration_ns)?);
+        let mut trace =
+            host.record_trace(&[core], p.events, filter, p.interval_ns, p.duration_ns)?;
+        traces.push(trace.remove(0));
     }
     Ok(traces)
 }
@@ -91,8 +93,8 @@ fn observe(host: &mut Host, vms: &[VmId]) -> String {
     let events = host.core(0).catalog().attack_events();
     let follow: Vec<Vec<Vec<f64>>> = (0..host.n_cores())
         .map(|c| {
-            host.record_trace(c, &events, OriginFilter::Any, 1_000_000, 3_000_000)
-                .map(|t| t.data)
+            host.record_trace(&[c], &events, OriginFilter::Any, 1_000_000, 3_000_000)
+                .map(|mut t| t.remove(0).data)
                 .unwrap_or_default()
         })
         .collect();

@@ -57,8 +57,9 @@ fn host_observes_guest_hpcs_despite_snp() {
     .unwrap();
     let events = host.core(core).catalog().attack_events();
     let trace = host
-        .record_trace(core, &events, OriginFilter::Any, 10_000_000, 200_000_000)
-        .unwrap();
+        .record_trace(&[core], &events, OriginFilter::Any, 10_000_000, 200_000_000)
+        .unwrap()
+        .remove(0);
     assert!(
         trace.totals()[0] > 1e6,
         "the guest's µops are visible to the host: {:?}",
@@ -92,13 +93,14 @@ fn software_events_never_reflect_guest_activity() {
         .unwrap();
     let trace = host
         .record_trace(
-            core,
+            &[core],
             &sw_events,
             OriginFilter::GuestOnly(vm.0),
             10_000_000,
             200_000_000,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
     assert!(
         trace.totals().iter().all(|&t| t == 0.0),
         "software events must be blind to the guest: {:?}",
@@ -140,8 +142,9 @@ fn injector_and_app_are_indistinguishable_to_the_host() {
                 .unwrap();
         }
         let trace = host
-            .record_trace(core, &[ev], OriginFilter::Any, 10_000_000, 100_000_000)
-            .unwrap();
+            .record_trace(&[core], &[ev], OriginFilter::Any, 10_000_000, 100_000_000)
+            .unwrap()
+            .remove(0);
         trace.totals()[0]
     };
 
@@ -166,8 +169,9 @@ fn trace_recording_is_deterministic_per_seed() {
         )
         .unwrap();
         let events = host.core(core).catalog().attack_events();
-        host.record_trace(core, &events, OriginFilter::Any, 10_000_000, 100_000_000)
+        host.record_trace(&[core], &events, OriginFilter::Any, 10_000_000, 100_000_000)
             .unwrap()
+            .remove(0)
     };
     assert_eq!(collect(9), collect(9));
     assert_ne!(collect(9), collect(10));
