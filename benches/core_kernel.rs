@@ -1,14 +1,14 @@
-//! The batched struct-of-arrays core engine versus the scalar reference.
+//! Lane-batched trace recording versus one core per session.
 //!
 //! One "session" is the fuzzer's per-candidate recording protocol: clone
 //! the post-cleanup template core, reseed it for the candidate, and run
 //! `reps` generation windows, `R` cold + `R` hot confirmation windows,
 //! and `reps` reorder-recheck windows between serializing fences. The
-//! scalar path drives each session through its own [`Core`] with the
-//! per-step activity log and end-of-session re-fold (the pre-batching
-//! pipeline); the batched path drives the same sessions as lanes of one
-//! [`CoreBatch`] through a [`BatchTraceRecorder`], folding window sums in
-//! place with no log. Both produce bit-identical [`RecordedTrace`]s —
+//! scalar path drives each session through its own [`Core`] (a one-lane
+//! engine) with the per-step activity log and end-of-session re-fold of
+//! the scalar [`TraceRecorder`]; the batched path drives the same
+//! sessions as lanes of one [`CoreBatch`] through a
+//! [`BatchTraceRecorder`], folding window sums in place with no log. Both produce bit-identical [`RecordedTrace`]s —
 //! asserted on every run — so the comparison is pure execution cost.
 //!
 //! Each bench function is measured in a pristine child process (the
@@ -105,10 +105,13 @@ fn run_batched(
         let n = tile.min(SESSIONS - done);
         let seeds: Vec<u64> = (done..done + n).map(session_seed).collect();
         match arena {
-            Some(batch) => batch.reset_from(template, &seeds),
-            None => *arena = Some(CoreBatch::from_template(template, &seeds)),
+            Some(batch) => batch.reset_from_core_state(template, n),
+            None => *arena = Some(CoreBatch::from_core_state(template, n)),
         }
         let batch = arena.as_mut().expect("arena just filled");
+        for (lane, &seed) in seeds.iter().enumerate() {
+            batch.reseed(lane, seed);
+        }
         let full_seqs: Vec<&[InstrId]> = vec![&full; n];
         let reset_seqs: Vec<&[InstrId]> = vec![&reset; n];
         let mut rec = BatchTraceRecorder::begin(batch, catalog);

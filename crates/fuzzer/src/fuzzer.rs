@@ -9,7 +9,7 @@ use crate::harness::{
 use crate::report::FuzzReport;
 use aegis_faults::{self as faults, FaultPlan};
 use aegis_isa::IsaCatalog;
-use aegis_microarch::{noise_base_for_seed, Core, CoreBatch, EventId};
+use aegis_microarch::{noise_base_for_seed, Core, CoreBatch, EventId, ResponseMatrix};
 use aegis_obs as obs;
 use aegis_par::{derive_seed, run_checkpointed, ArtifactCache, ArtifactKey, Executor};
 use rand::rngs::StdRng;
@@ -17,7 +17,6 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Seed-derivation stream tag for per-event fuzzing RNGs (scalar path).
@@ -282,10 +281,13 @@ impl EventFuzzer {
                         })
                         .collect();
                     match arena {
-                        Some(batch) => batch.reset_from(pristine, &seeds),
-                        None => *arena = Some(CoreBatch::from_template(pristine, &seeds)),
+                        Some(batch) => batch.reset_from_core_state(pristine, seeds.len()),
+                        None => *arena = Some(CoreBatch::from_core_state(pristine, seeds.len())),
                     }
                     let batch = arena.as_mut().expect("arena just filled");
+                    for (lane, &seed) in seeds.iter().enumerate() {
+                        batch.reseed(lane, seed);
+                    }
                     let fulls: Vec<[aegis_isa::InstrId; 2]> =
                         block.iter().map(|(_, g)| [g.reset, g.trigger]).collect();
                     let resets: Vec<[aegis_isa::InstrId; 1]> =
@@ -346,7 +348,7 @@ impl EventFuzzer {
         // Evaluation pass: dense-kernel walk of the shared traces, one
         // unit per event.
         let eval_span = obs::span("fuzz.evaluate");
-        let matrix = Arc::clone(core.pmu().matrix());
+        let matrix = ResponseMatrix::shared(core.arch());
         let pool_ref = &pool;
         let traces_ref = &traces;
         let units: Vec<(usize, EventId)> = events.iter().copied().enumerate().collect();

@@ -10,8 +10,8 @@
 use aegis_attack_stats::median;
 use aegis_isa::{well_known, InstrId, InstructionSpec, IsaCatalog, WellKnown};
 use aegis_microarch::{
-    read_counter, ActivityVector, Core, CoreBatch, CounterConfig, EventId, Feature, Origin,
-    OriginFilter, ResponseMatrix,
+    read_counter, ActivityVector, Core, CoreBatch, CounterBank, CounterConfig, EventId, Feature,
+    Origin, OriginFilter, ResponseMatrix,
 };
 use serde::{Deserialize, Serialize};
 
@@ -51,15 +51,14 @@ const SLOT: usize = 0;
 ///
 /// Panics if the event is unknown on the core.
 pub fn program_event(core: &mut Core, event: EventId) {
-    core.pmu_mut()
-        .program(
-            SLOT,
-            CounterConfig {
-                event,
-                filter: OriginFilter::Any,
-            },
-        )
-        .expect("profiled event must exist on this core");
+    core.program(
+        SLOT,
+        CounterConfig {
+            event,
+            filter: OriginFilter::Any,
+        },
+    )
+    .expect("profiled event must exist on this core");
 }
 
 /// Executes one instruction sequence between serializing fences and
@@ -73,13 +72,13 @@ pub fn program_event(core: &mut Core, event: EventId) {
 pub fn measure_once(core: &mut Core, catalog: &IsaCatalog, seq: &[InstrId]) -> f64 {
     let cpuid = well_known(WellKnown::Cpuid);
     let _ = core.execute_instr(&cpuid, Origin::Host);
-    core.pmu_mut().reset_value(SLOT);
+    core.reset_value(0, SLOT);
     for &id in seq {
         if let Some(spec) = catalog.get(id) {
             let _ = core.execute_instr(spec, Origin::Host);
         }
     }
-    let delta = core.pmu().rdpmc(SLOT).expect("slot programmed") as f64;
+    let delta = core.rdpmc(0, SLOT).expect("slot programmed") as f64;
     let _ = core.execute_instr(&cpuid, Origin::Host);
     delta
 }
@@ -111,8 +110,8 @@ pub fn measure_repeated(
 /// events into two accumulation behaviours: guest-visible counters fold
 /// every step, guest-invisible counters fold only host-origin steps. The
 /// folds use the same component-wise `+=` in the same step order as a
-/// live [`aegis_microarch::CounterLane`], so the sums are bit-identical
-/// to what a programmed counter would have accumulated.
+/// live counter row, so the sums are bit-identical to what a programmed
+/// counter would have accumulated.
 const WINDOW_STRIDE: usize = 2 * Feature::COUNT;
 
 /// A recorded measurement session: per-window activity sums at the
@@ -466,11 +465,9 @@ pub struct TraceEval<'a> {
     event: EventId,
     /// Cached from the matrix so the per-window loop never re-indexes it.
     guest_visible: bool,
-    /// Read index of the event's noise stream. A plain counter — unlike a
-    /// live [`aegis_microarch::CounterLane`] the evaluator is exclusively
-    /// owned, so it
-    /// needs no atomic; the arithmetic per read is the shared
-    /// [`aegis_microarch::read_counter`], identical to the lane's.
+    /// Read index of the event's noise stream; the arithmetic per read is
+    /// the shared [`aegis_microarch::read_counter`], identical to a live
+    /// counter's.
     draws: u64,
     window: usize,
 }
@@ -478,7 +475,8 @@ pub struct TraceEval<'a> {
 impl<'a> TraceEval<'a> {
     /// Prepares to evaluate `event` against `trace`. `noise_base` must be
     /// the recording core's measurement-noise base (the evaluator then
-    /// draws the exact noise the scalar PMU would have drawn).
+    /// draws the exact noise a counter programmed on that core would
+    /// have drawn).
     pub fn new(
         trace: &'a RecordedTrace,
         matrix: &'a ResponseMatrix,
@@ -637,8 +635,8 @@ mod tests {
         let reps = 10;
 
         let (catalog, mut rec_core) = setup();
-        let matrix = std::sync::Arc::clone(rec_core.pmu().matrix());
-        let noise_base = rec_core.pmu().noise_base();
+        let matrix = ResponseMatrix::shared(rec_core.arch());
+        let noise_base = rec_core.noise_base(0);
         let mut rec = TraceRecorder::begin(&mut rec_core, &catalog);
         for seq in seqs {
             for _ in 0..reps {
@@ -687,7 +685,10 @@ mod tests {
         ];
         let reps = 6;
 
-        let mut batch = CoreBatch::from_template(&baseline, &seeds);
+        let mut batch = CoreBatch::from_core_state(&baseline, seeds.len());
+        for (lane, &seed) in seeds.iter().enumerate() {
+            batch.reseed(lane, seed);
+        }
         let mut rec = BatchTraceRecorder::begin(&mut batch, &catalog);
         for _ in 0..reps {
             rec.window(&lane_seqs);
@@ -718,8 +719,8 @@ mod tests {
         let scalar = measure_median(&mut scalar_core, &catalog, &seq, 10);
 
         let (_, mut rec_core) = setup();
-        let matrix = std::sync::Arc::clone(rec_core.pmu().matrix());
-        let noise_base = rec_core.pmu().noise_base();
+        let matrix = ResponseMatrix::shared(rec_core.arch());
+        let noise_base = rec_core.noise_base(0);
         let mut rec = TraceRecorder::begin(&mut rec_core, &catalog);
         for _ in 0..10 {
             rec.window(&seq);
@@ -736,8 +737,8 @@ mod tests {
         // support really implies a bit-exact zero read on every window —
         // pin the algebraic identity here.
         let (catalog, mut core) = setup();
-        let matrix = std::sync::Arc::clone(core.pmu().matrix());
-        let noise_base = core.pmu().noise_base();
+        let matrix = ResponseMatrix::shared(core.arch());
+        let noise_base = core.noise_base(0);
         let mut rec = TraceRecorder::begin(&mut core, &catalog);
         for _ in 0..6 {
             rec.window(&[WellKnown::Nop.id()]);
@@ -796,8 +797,8 @@ mod tests {
     fn lazy_eval_stops_early_without_panicking() {
         let (catalog, mut core) = setup();
         let ev = core.catalog().lookup(named::RETIRED_UOPS).unwrap();
-        let matrix = std::sync::Arc::clone(core.pmu().matrix());
-        let noise_base = core.pmu().noise_base();
+        let matrix = ResponseMatrix::shared(core.arch());
+        let noise_base = core.noise_base(0);
         let mut rec = TraceRecorder::begin(&mut core, &catalog);
         for _ in 0..5 {
             rec.window(&[WellKnown::Add64.id()]);

@@ -1,41 +1,45 @@
-//! The batched struct-of-arrays core engine: N independent sessions of
-//! the same instruction stream executed as contiguous lanes.
+//! The core engine: N independent sessions of the same processor model
+//! executed as contiguous lanes. A [`Core`] is one lane.
 //!
 //! The repo's hot loops — fuzzer confirm-reps, dataset collection — all
 //! have the shape "run the same gadget session N times under different
 //! seeds". Object-at-a-time, each session costs a full [`Core`] clone, a
 //! per-step `Vec` push into the activity log, and a re-fold pass at the
-//! end. [`CoreBatch`] flattens all of that: one arena of per-lane state
-//! (activity accumulator rows as flat `[f64; n_lanes × Feature::COUNT]`
-//! like the attack plane's `Mat`, data-page caches as three `u64` words
-//! per lane, branch tables as one contiguous byte row per lane), reused
-//! across candidates via [`CoreBatch::reset_from`], with deltas folded
-//! straight into window and counter rows as they are produced.
+//! end. [`CoreBatch`] flattens all of that: one arena of fixed-size lane
+//! records (counter and window accumulators as [`ActivityVector`] rows,
+//! the data-page cache as three `u64` words, the branch table as one
+//! byte row), reused across candidates via
+//! [`CoreBatch::reset_from_core_state`] plus a per-lane
+//! [`CoreBatch::reseed`], with deltas folded straight into counter rows
+//! (and, for windowed steps, window rows) as they are produced.
 //!
-//! # The scalar-reference invariant
+//! # One engine
 //!
-//! Lane `l` of a batch seeded `(template, seeds)` is **bit-identical** to
-//! `template.clone()` + `reseed(seeds[l])` driven through the same calls
-//! on the scalar [`Core`]. This holds structurally, not coincidentally:
+//! There is one definition of the per-session state, the counters and
+//! the step semantics: a [`Core`] holds a one-lane batch, and every
+//! lane of a wider batch runs the same code. Lane `l` of a batch seeded
+//! `from_core_state(core, n)` + `reseed(l, s)` is therefore bit-identical
+//! to `core.clone()` + `reseed(s)` driven through the same calls:
 //!
-//! * both paths execute through the same [`instr_step`]/[`mix_step`]
+//! * every step executes through the same [`instr_step`]/[`mix_step`]
 //!   kernels in `core.rs` (single definition of instruction semantics);
 //! * execution noise is keyed `(seed, site, instance)` through
 //!   `derive_seed`, so a lane's draws depend only on its own call
 //!   sequence — never on other lanes, batch width, or execution order;
 //! * counter reads funnel through [`read_counter`], the single definition
 //!   of response + noise + truncation arithmetic;
-//! * accumulator folds are component-wise f64 additions in the same order
-//!   as `ActivityVector`'s `AddAssign`.
+//! * accumulator folds are `ActivityVector` adds, component-wise in
+//!   feature order.
 //!
-//! Property tests at the bottom of this file and in the fuzzer crate pin
-//! the invariant across all [`MicroArch::ALL`] models.
+//! Property tests at the bottom of this file check lanes of wide batches
+//! against one-lane twins on all [`MicroArch::ALL`] models, and
+//! `tests/engine_pin.rs` pins whole sessions against digests.
 
 use crate::activity::{ActivityVector, Feature, Origin};
 use crate::arch::MicroArch;
 use crate::cache::DataPageCache;
 use crate::core::{instr_step, irq_activity, mix_step, Core, ExecDraws, LaneCtx, BRANCH_SLOTS};
-use crate::core::{DrawSource, ExecError, InterferenceConfig};
+use crate::core::{DrawSource, ExecError, InstrOutcome, InterferenceConfig, MixOutcome};
 use crate::events::{EventCatalog, EventId};
 use crate::pmu::{CounterBank, CounterConfig, PmuError, COUNTER_SLOTS};
 use crate::rand_util::PoissonLimit;
@@ -45,7 +49,7 @@ use std::sync::Arc;
 
 /// Per-slot counter programming shared by every lane (the fuzzer programs
 /// all sessions of a candidate identically; per-lane state lives in the
-/// flat accumulator rows).
+/// accumulator rows).
 #[derive(Debug, Clone, Copy)]
 struct SlotTemplate {
     config: CounterConfig,
@@ -212,7 +216,48 @@ fn build_window_template(
     })
 }
 
-/// A batch of independent core sessions in struct-of-arrays layout.
+/// One lane's counter register: the raw accumulation of a programmed slot
+/// and the measurement-noise draws its reads consumed.
+#[derive(Debug, Clone, Copy)]
+struct CounterRow {
+    acc: ActivityVector,
+    draws: u64,
+}
+
+impl CounterRow {
+    const ZERO: CounterRow = CounterRow {
+        acc: ActivityVector::ZERO,
+        draws: 0,
+    };
+}
+
+/// Everything one session owns, kept in one place so a step touches one
+/// contiguous block: keyed execution-noise streams, measurement-noise
+/// base, data-page cache (three `u64` words), branch-predictor table,
+/// cycles, step count, fail-closed latch, counter rows and window sums.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    draws: ExecDraws,
+    noise_base: u64,
+    cache: DataPageCache,
+    branch: [u8; BRANCH_SLOTS],
+    cycles: u64,
+    /// Executed-step count (instruction + IRQ deltas), the analogue of a
+    /// core's activity-log length.
+    steps: usize,
+    /// While latched, guest-visible counters read 0 and consume no noise
+    /// draw — degraded output is *absent*, never clean.
+    fail_closed: bool,
+    /// Counter rows, one per slot; meaningful while the slot is
+    /// programmed.
+    counters: [CounterRow; COUNTER_SLOTS],
+    /// Current-window activity sums, all origins.
+    win_all: ActivityVector,
+    /// Current-window activity sums, host-origin deltas only.
+    win_host: ActivityVector,
+}
+
+/// A batch of independent core sessions, one lane record each.
 ///
 /// All lanes share one processor model, catalog, interference config, and
 /// counter programming; everything stochastic or stateful is per lane.
@@ -224,38 +269,12 @@ pub struct CoreBatch {
     catalog: Arc<EventCatalog>,
     matrix: Arc<ResponseMatrix>,
     interference: InterferenceConfig,
-    n_lanes: usize,
-    /// Per-lane keyed execution-noise streams.
-    draws: Vec<ExecDraws>,
     /// `exp(-λ)` memo of the mix steps' interrupt draws (λ is shared by
     /// every lane: one interference config, one step length).
     poisson_limit: PoissonLimit,
-    /// Per-lane measurement-noise bases.
-    noise_bases: Vec<u64>,
-    /// Per-lane data-page caches (three `u64` words each).
-    caches: Vec<DataPageCache>,
-    /// Branch-predictor tables, one contiguous `BRANCH_SLOTS` row per lane.
-    branch: Vec<u8>,
-    /// Per-lane unhalted cycle counts.
-    cycles: Vec<u64>,
-    /// Per-lane fail-closed latches (the host's supervision layer latches
-    /// cores independently; lanes model independent sessions).
-    fail_closed: Vec<bool>,
-    /// Per-lane executed-step counts (instruction + IRQ deltas), the
-    /// analogue of the scalar activity log's length.
-    steps: Vec<usize>,
     /// Counter programming, shared across lanes.
     slots: [Option<SlotTemplate>; COUNTER_SLOTS],
-    /// Counter accumulations: row `(lane × COUNTER_SLOTS + slot)` of
-    /// `Feature::COUNT` f64s.
-    pmu_acc: Vec<f64>,
-    /// Noise draws consumed per `(lane, slot)`.
-    pmu_draws: Vec<u64>,
-    /// Current-window activity sums: row `lane` of `Feature::COUNT` f64s,
-    /// all origins.
-    win_all: Vec<f64>,
-    /// Current-window activity sums, host-origin deltas only.
-    win_host: Vec<f64>,
+    lanes: Vec<Lane>,
     /// Memoized fenced-window replays, shared across lanes (templates are
     /// draw-free and keyed by everything lane-specific they read).
     win_templates: Vec<(WinKey, Option<WindowTemplate>)>,
@@ -263,169 +282,104 @@ pub struct CoreBatch {
     /// recording protocol repeats one window across lanes and reps, so
     /// this one-entry memo turns the common lookup into a single compare.
     last_template: usize,
-    /// Windows served by the replay path since the last reset — the
-    /// fast-path hit counter (diagnostics; no effect on results).
-    replay_hits: u64,
 }
 
 impl CoreBatch {
     /// Cache-friendly tile width: drivers that want more sessions than
     /// this in flight should run them as consecutive tiles of at most
-    /// `TILE_LANES` lanes rather than one wide batch. The arena rows
-    /// (counter accumulations, window sums, branch tables) for 32 lanes
-    /// fit comfortably in L2; at 128 lanes the strided per-slot folds
-    /// start missing, which is exactly the batched-128 regression in
-    /// BENCH_core.json. Lanes are fully independent, so any tiling of N
-    /// sessions produces bit-identical per-session results.
+    /// `TILE_LANES` lanes rather than one wide batch. The lane records
+    /// (counter rows, window sums, branch tables) for 32 lanes fit
+    /// comfortably in L2; at 128 lanes they start missing, which is
+    /// exactly the batched-128 regression BENCH_core.json once showed.
+    /// Lanes are fully independent, so any tiling of N sessions produces
+    /// bit-identical per-session results.
     pub const TILE_LANES: usize = 32;
 
-    /// Builds a batch whose lanes all start as copies of `template`
-    /// reseeded with the respective entry of `seeds` — the batched
-    /// equivalent of `template.clone()` + `reseed(seed)` per session.
-    pub fn from_template(template: &Core, seeds: &[u64]) -> Self {
-        let mut batch = CoreBatch {
-            arch: template.arch(),
-            catalog: template.catalog(),
-            matrix: Arc::clone(template.pmu().matrix()),
-            interference: template.interference(),
-            n_lanes: 0,
-            draws: Vec::new(),
+    /// One fresh lane seeded with `seed`: cold cache, weakly-not-taken
+    /// predictor, no counter programmed — the state behind
+    /// [`Core::with_catalog`].
+    pub(crate) fn one_lane(arch: MicroArch, catalog: Arc<EventCatalog>, seed: u64) -> Self {
+        CoreBatch {
+            arch,
+            matrix: ResponseMatrix::shared(catalog.arch()),
+            catalog,
+            interference: InterferenceConfig::default(),
             poisson_limit: PoissonLimit::new(),
-            noise_bases: Vec::new(),
-            caches: Vec::new(),
-            branch: Vec::new(),
-            cycles: Vec::new(),
-            fail_closed: Vec::new(),
-            steps: Vec::new(),
             slots: [None; COUNTER_SLOTS],
-            pmu_acc: Vec::new(),
-            pmu_draws: Vec::new(),
-            win_all: Vec::new(),
-            win_host: Vec::new(),
+            lanes: vec![Lane {
+                draws: ExecDraws::new(seed),
+                noise_base: noise_base_for_seed(seed),
+                cache: DataPageCache::cold(),
+                branch: [1; BRANCH_SLOTS],
+                cycles: 0,
+                steps: 0,
+                fail_closed: false,
+                counters: [CounterRow::ZERO; COUNTER_SLOTS],
+                win_all: ActivityVector::ZERO,
+                win_host: ActivityVector::ZERO,
+            }],
             win_templates: Vec::new(),
             last_template: 0,
-            replay_hits: 0,
-        };
-        batch.reset_from(template, seeds);
-        batch
-    }
-
-    /// Re-seeds the batch from a (possibly different) template without
-    /// releasing the arena: every buffer is truncated/extended in place,
-    /// so driving thousands of fuzzer candidates through one `CoreBatch`
-    /// performs no steady-state allocation.
-    pub fn reset_from(&mut self, template: &Core, seeds: &[u64]) {
-        let n = seeds.len();
-        self.arch = template.arch();
-        self.catalog = template.catalog();
-        self.matrix = Arc::clone(template.pmu().matrix());
-        self.interference = template.interference();
-        self.n_lanes = n;
-
-        self.draws.clear();
-        self.draws.extend(seeds.iter().map(|&s| ExecDraws::new(s)));
-        self.noise_bases.clear();
-        self.noise_bases
-            .extend(seeds.iter().map(|&s| noise_base_for_seed(s)));
-
-        fill(&mut self.caches, n, template.cache_snapshot());
-        fill(&mut self.cycles, n, template.cycles());
-        fill(&mut self.fail_closed, n, template.pmu().fail_closed());
-        fill(&mut self.steps, n, 0);
-
-        self.branch.clear();
-        for _ in 0..n {
-            self.branch.extend_from_slice(template.branch_snapshot());
         }
-
-        fill(&mut self.pmu_acc, n * COUNTER_SLOTS * Feature::COUNT, 0.0);
-        fill(&mut self.pmu_draws, n * COUNTER_SLOTS, 0);
-        for slot in 0..COUNTER_SLOTS {
-            match template.pmu().slot_state(slot) {
-                Some((config, lane)) => {
-                    self.slots[slot] = Some(SlotTemplate {
-                        config,
-                        guest_visible: lane.guest_visible(),
-                    });
-                    for l in 0..n {
-                        self.pmu_acc_row_mut(l, slot).copy_from_slice(&lane.acc().0);
-                        self.pmu_draws[l * COUNTER_SLOTS + slot] = lane.draws_consumed();
-                    }
-                }
-                None => self.slots[slot] = None,
-            }
-        }
-
-        fill(&mut self.win_all, n * Feature::COUNT, 0.0);
-        fill(&mut self.win_host, n * Feature::COUNT, 0.0);
-        // Templates capture the interference config; a reset may change it.
-        self.win_templates.clear();
-        self.last_template = 0;
-        self.replay_hits = 0;
     }
 
     /// Builds a batch whose lanes all start as **exact mid-stream copies**
     /// of `core` — draw-stream positions, measurement-noise base, cache,
     /// branch table, cycles, fail-closed latch, and counter state are
-    /// replicated verbatim rather than re-derived from a seed. This is the
-    /// lane-group constructor of the fleet measurement plane: every fleet
-    /// replica forks from the *same* prepared host, so its per-core lanes
-    /// all start identical and diverge only through the per-lane activity
-    /// sources the driver attaches.
+    /// replicated verbatim. Follow with [`CoreBatch::reseed`] per lane to
+    /// run independent sessions from the same state (the fuzzer's
+    /// candidate lanes); without it every lane replays the core's future
+    /// and diverges only through the per-lane activity sources a driver
+    /// attaches (the host's lane groups).
     ///
     /// Lane `l` is bit-identical to `core.clone()` driven through the same
-    /// calls on the scalar [`Core`] — the invariant the `aegis-sev`
-    /// proptests pin against `Host::record_trace` on detached forks.
+    /// calls — the invariant the `aegis-sev` proptests pin against
+    /// `Host::record_trace` on detached forks.
     pub fn from_core_state(core: &Core, n_lanes: usize) -> Self {
-        let mut batch = CoreBatch::from_template(core, &[]);
+        let mut batch = core.lane.clone();
         batch.reset_from_core_state(core, n_lanes);
         batch
     }
 
     /// Re-fills the batch as `n_lanes` exact mid-stream copies of `core`
-    /// without releasing the arena (see [`CoreBatch::from_core_state`]).
+    /// without releasing the arena: the lane buffer is truncated/extended
+    /// in place, so driving thousands of fuzzer candidates through one
+    /// `CoreBatch` performs no steady-state allocation (see
+    /// [`CoreBatch::from_core_state`]).
     pub fn reset_from_core_state(&mut self, core: &Core, n_lanes: usize) {
-        // Seed values are irrelevant here — draws and noise bases are
-        // overwritten with the core's exact mid-stream state below — but
-        // reusing `reset_from` keeps one definition of the arena layout.
-        let seeds = vec![0u64; n_lanes];
-        self.reset_from(core, &seeds);
-        let draws = core.draws_snapshot();
-        self.draws.clear();
-        self.draws.resize(n_lanes, draws);
-        let base = core.pmu().noise_base();
-        self.noise_bases.clear();
-        self.noise_bases.resize(n_lanes, base);
+        let src = &core.lane;
+        self.arch = src.arch;
+        self.catalog = Arc::clone(&src.catalog);
+        self.matrix = Arc::clone(&src.matrix);
+        self.interference = src.interference;
+        self.slots = src.slots;
+        let lane = Lane {
+            steps: 0,
+            win_all: ActivityVector::ZERO,
+            win_host: ActivityVector::ZERO,
+            ..src.lanes[0]
+        };
+        self.lanes.clear();
+        self.lanes.resize(n_lanes, lane);
+        // Templates capture the interference config; a reset may change it.
+        self.win_templates.clear();
+        self.last_template = 0;
     }
 
-    /// Clears a counter slot on every lane (mirrors [`crate::Pmu::clear`]:
-    /// out-of-range slots are ignored).
-    pub fn clear_slot(&mut self, slot: usize) {
-        if let Some(s) = self.slots.get_mut(slot) {
-            *s = None;
-        }
+    /// Reseeds a lane's execution-noise streams and measurement-noise
+    /// base exactly as if its state had been built from `seed`. Cache,
+    /// branch predictor, counters and cycle count are kept, so
+    /// `from_core_state(core, n)` + `reseed(l, s)` equals `core.clone()`
+    /// + `reseed(s)`.
+    pub fn reseed(&mut self, lane: usize, seed: u64) {
+        let l = &mut self.lanes[lane];
+        l.draws = ExecDraws::new(seed);
+        l.noise_base = noise_base_for_seed(seed);
     }
 
-    /// The shared event catalog (same handle as the template core's).
+    /// The shared event catalog (same handle as the source core's).
     pub fn catalog(&self) -> Arc<EventCatalog> {
         Arc::clone(&self.catalog)
-    }
-
-    /// A lane's measurement-noise base (keys a recorder's fault streams
-    /// exactly as [`crate::Pmu::noise_base`] does on a scalar core).
-    pub fn noise_base(&self, lane: usize) -> u64 {
-        self.noise_bases[lane]
-    }
-
-    /// The event programmed on a slot, if any (mirrors
-    /// [`crate::Pmu::programmed_event`]).
-    pub fn programmed_event(&self, slot: usize) -> Option<EventId> {
-        self.slots.get(slot)?.as_ref().map(|t| t.config.event)
-    }
-
-    /// Number of lanes.
-    pub fn n_lanes(&self) -> usize {
-        self.n_lanes
     }
 
     /// The processor model.
@@ -433,170 +387,112 @@ impl CoreBatch {
         self.arch
     }
 
+    /// The shared interference model.
+    pub(crate) fn interference(&self) -> InterferenceConfig {
+        self.interference
+    }
+
+    /// Replaces the interference model of every lane.
+    pub(crate) fn set_interference(&mut self, cfg: InterferenceConfig) {
+        self.interference = cfg;
+        // Templates capture the interference config.
+        self.win_templates.clear();
+        self.last_template = 0;
+    }
+
     /// Unhalted cycles executed by a lane.
     pub fn cycles(&self, lane: usize) -> u64 {
-        self.cycles[lane]
+        self.lanes[lane].cycles
     }
 
     /// Activity deltas applied by a lane so far (instruction + IRQ steps),
-    /// the analogue of the scalar core's recording length.
+    /// the analogue of a core's recording length.
     pub fn steps(&self, lane: usize) -> usize {
-        self.steps[lane]
+        self.lanes[lane].steps
     }
 
     /// Scratch-page lines resident in a lane's L1D.
     pub fn cache_resident_lines(&self, lane: usize) -> usize {
-        self.caches[lane].resident_lines()
+        self.lanes[lane].cache.resident_lines()
     }
 
-    /// Latches (or releases) a lane's fail-closed mode; semantics match
-    /// [`crate::Pmu::set_fail_closed`] per lane.
+    /// Latches (or releases) a lane's fail-closed mode. While latched,
+    /// reads of its guest-visible counters return 0 and consume no noise
+    /// draws; host-only software events keep reading normally, as they
+    /// carry no guest secrets.
     pub fn set_fail_closed(&mut self, lane: usize, on: bool) {
-        self.fail_closed[lane] = on;
+        self.lanes[lane].fail_closed = on;
     }
 
     /// Whether a lane's fail-closed latch is set.
     pub fn fail_closed(&self, lane: usize) -> bool {
-        self.fail_closed[lane]
+        self.lanes[lane].fail_closed
     }
 
-    /// Fenced windows served by the memoized replay path since the last
-    /// reset (diagnostics for hit-rate reporting; no effect on results).
-    pub fn replay_hits(&self) -> u64 {
-        self.replay_hits
-    }
-
-    fn pmu_acc_row_mut(&mut self, lane: usize, slot: usize) -> &mut [f64] {
-        let at = (lane * COUNTER_SLOTS + slot) * Feature::COUNT;
-        &mut self.pmu_acc[at..at + Feature::COUNT]
-    }
-
-    /// Programs a counter slot on every lane, zeroing its accumulation and
-    /// noise stream (mirrors [`crate::Pmu::program`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmuError::BadSlot`] or [`PmuError::UnknownEvent`].
-    pub fn program(&mut self, slot: usize, config: CounterConfig) -> Result<(), PmuError> {
-        if slot >= COUNTER_SLOTS {
-            return Err(PmuError::BadSlot(slot));
-        }
-        if self.catalog.get(config.event).is_none() {
-            return Err(PmuError::UnknownEvent(config.event));
-        }
-        self.slots[slot] = Some(SlotTemplate {
-            config,
-            guest_visible: self.matrix.guest_visible(config.event),
-        });
-        for lane in 0..self.n_lanes {
-            self.pmu_acc_row_mut(lane, slot).fill(0.0);
-            self.pmu_draws[lane * COUNTER_SLOTS + slot] = 0;
-        }
-        Ok(())
-    }
-
-    /// Zeroes a programmed counter's value on one lane without touching
-    /// its noise stream (mirrors [`crate::Pmu::reset_value`]).
-    pub fn reset_value(&mut self, lane: usize, slot: usize) {
-        if slot < COUNTER_SLOTS && self.slots[slot].is_some() {
-            self.pmu_acc_row_mut(lane, slot).fill(0.0);
-        }
-    }
-
-    /// Reads a lane's programmed counter (mirrors [`crate::Pmu::rdpmc`],
-    /// including the fail-closed gate and draw accounting).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmuError::Unprogrammed`] or [`PmuError::BadSlot`].
-    pub fn rdpmc(&mut self, lane: usize, slot: usize) -> Result<u64, PmuError> {
-        if slot >= COUNTER_SLOTS {
-            return Err(PmuError::BadSlot(slot));
-        }
-        let t = self.slots[slot].ok_or(PmuError::Unprogrammed(slot))?;
-        if self.fail_closed[lane] && t.guest_visible {
-            return Ok(0);
-        }
-        let draw = self.pmu_draws[lane * COUNTER_SLOTS + slot];
-        self.pmu_draws[lane * COUNTER_SLOTS + slot] += 1;
-        let mut acc = ActivityVector::ZERO;
-        let at = (lane * COUNTER_SLOTS + slot) * Feature::COUNT;
-        acc.0.copy_from_slice(&self.pmu_acc[at..at + Feature::COUNT]);
-        Ok(read_counter(
-            &self.matrix,
-            t.config.event,
-            self.noise_bases[lane],
-            draw,
-            &acc,
-        ))
-    }
-
-    /// Applies one delta to a lane's counter rows and window rows —
-    /// the batched analogue of `Core::apply_activity` + `Pmu::apply` +
-    /// `CounterLane::accumulate`, with identical gating and fold order.
+    /// Applies one delta to a lane's counter rows and, for a windowed
+    /// step, its window sums. Guest-origin activity only moves
+    /// guest-visible events — the SEV observability boundary: hardware
+    /// events fire for sealed guests while host software events and most
+    /// tracepoints do not.
+    #[inline]
     fn apply(&mut self, lane: usize, delta: &ActivityVector, origin: Origin, windowed: bool) {
-        for slot in 0..COUNTER_SLOTS {
-            let Some(t) = self.slots[slot] else { continue };
-            if !t.config.filter.matches(origin) {
-                continue;
-            }
-            if origin.is_guest() && !t.guest_visible {
-                continue;
-            }
-            let at = (lane * COUNTER_SLOTS + slot) * Feature::COUNT;
-            for (a, d) in self.pmu_acc[at..at + Feature::COUNT].iter_mut().zip(&delta.0) {
-                *a += *d;
+        let l = &mut self.lanes[lane];
+        for (slot, row) in self.slots.iter().zip(&mut l.counters) {
+            let Some(t) = slot else { continue };
+            if t.config.filter.matches(origin) && (t.guest_visible || !origin.is_guest()) {
+                row.acc += *delta;
             }
         }
-        self.steps[lane] += 1;
+        l.steps += 1;
         if windowed {
-            let at = lane * Feature::COUNT;
-            for (a, d) in self.win_all[at..at + Feature::COUNT].iter_mut().zip(&delta.0) {
-                *a += *d;
-            }
+            l.win_all += *delta;
             if !origin.is_guest() {
-                for (a, d) in self.win_host[at..at + Feature::COUNT].iter_mut().zip(&delta.0) {
-                    *a += *d;
-                }
+                l.win_host += *delta;
             }
         }
     }
 
-    fn execute_inner(
+    /// Executes one instruction on a lane: the kernel's outcome, applied
+    /// to the lane (an interrupt's activity first, as it preempts the
+    /// instruction's retirement). Inlined so each caller's constant
+    /// `windowed` folds away: a `Core` step is the plain counter fold.
+    #[inline]
+    pub(crate) fn step_instr(
         &mut self,
         lane: usize,
         spec: &InstructionSpec,
         origin: Origin,
         windowed: bool,
-    ) -> Result<ActivityVector, ExecError> {
+    ) -> Result<InstrOutcome, ExecError> {
+        let l = &mut self.lanes[lane];
         let mut ctx = LaneCtx {
-            cache: &mut self.caches[lane],
-            branch_table: &mut self.branch[lane * BRANCH_SLOTS..(lane + 1) * BRANCH_SLOTS],
-            draws: &mut self.draws[lane],
+            cache: &mut l.cache,
+            branch_table: &mut l.branch,
+            draws: &mut l.draws,
         };
         let out = instr_step(spec, &self.interference, &mut ctx)?;
-        self.cycles[lane] += out.cycles;
+        l.cycles += out.cycles;
         if out.irq {
             self.apply(lane, irq_activity(), Origin::Host, windowed);
         }
         self.apply(lane, &out.delta, origin, windowed);
-        Ok(out.delta)
+        Ok(out)
     }
 
     /// Executes one instruction on a lane, folding its activity into the
     /// current window (bit-equal to [`Core::execute_instr`] on the lane's
-    /// scalar twin).
+    /// one-lane twin, which folds no window).
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] exactly as the scalar core does.
+    /// Returns [`ExecError`] if the variant is illegal or privileged.
     pub fn execute_instr(
         &mut self,
         lane: usize,
         spec: &InstructionSpec,
         origin: Origin,
     ) -> Result<ActivityVector, ExecError> {
-        self.execute_inner(lane, spec, origin, true)
+        self.step_instr(lane, spec, origin, true).map(|out| out.delta)
     }
 
     /// Executes one instruction on a lane *outside* the current window:
@@ -606,14 +502,14 @@ impl CoreBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] exactly as the scalar core does.
+    /// Returns [`ExecError`] if the variant is illegal or privileged.
     pub fn execute_unwindowed(
         &mut self,
         lane: usize,
         spec: &InstructionSpec,
         origin: Origin,
     ) -> Result<ActivityVector, ExecError> {
-        self.execute_inner(lane, spec, origin, false)
+        self.step_instr(lane, spec, origin, false).map(|out| out.delta)
     }
 
     /// Executes one fenced measurement window on a lane — a fresh window,
@@ -666,22 +562,22 @@ impl CoreBatch {
             }
         }
 
-        let at = lane * Feature::COUNT;
-        self.win_all[at..at + Feature::COUNT].fill(0.0);
-        self.win_host[at..at + Feature::COUNT].fill(0.0);
-        let _ = self.execute_inner(lane, fence, origin, false);
+        self.lanes[lane].win_all = ActivityVector::ZERO;
+        self.lanes[lane].win_host = ActivityVector::ZERO;
+        let _ = self.step_instr(lane, fence, origin, false);
         for spec in seq {
-            let _ = self.execute_inner(lane, spec, origin, true);
+            let _ = self.step_instr(lane, spec, origin, true);
         }
-        let _ = self.execute_inner(lane, fence, origin, false);
+        let _ = self.step_instr(lane, fence, origin, false);
+        let Lane { win_all: all, win_host: host, .. } = &self.lanes[lane];
         let mut support = 0u32;
         for i in 0..Feature::COUNT {
-            if self.win_all[at + i] != 0.0 || self.win_host[at + i] != 0.0 {
+            if all.0[i] != 0.0 || host.0[i] != 0.0 {
                 support |= 1 << i;
             }
         }
-        out.extend_from_slice(&self.win_all[at..at + Feature::COUNT]);
-        out.extend_from_slice(&self.win_host[at..at + Feature::COUNT]);
+        out.extend_from_slice(&all.0);
+        out.extend_from_slice(&host.0);
         support
     }
 
@@ -697,7 +593,8 @@ impl CoreBatch {
         seq: &[&InstructionSpec],
         out: &mut Vec<f64>,
     ) -> Option<u32> {
-        let key = WinKey::new(fence, seq, self.caches[lane].low_lines_key());
+        let l = &mut self.lanes[lane];
+        let key = WinKey::new(fence, seq, l.cache.low_lines_key());
         // One-entry memo first: the protocol repeats one window across
         // lanes and reps, so the full scan is rare.
         let idx = match self.win_templates.get(self.last_template) {
@@ -705,8 +602,7 @@ impl CoreBatch {
             _ => match self.win_templates.iter().position(|(k, _)| *k == key) {
                 Some(i) => i,
                 None => {
-                    let tpl =
-                        build_window_template(fence, seq, self.caches[lane], &self.interference);
+                    let tpl = build_window_template(fence, seq, l.cache, &self.interference);
                     if self.win_templates.len() >= TEMPLATE_CAP {
                         self.win_templates.clear();
                     }
@@ -720,17 +616,16 @@ impl CoreBatch {
         // Check the draw plan against the lane's real streams. Per-site
         // consumption counts match the live path exactly, so instance
         // counters stay aligned whichever path later windows take.
-        let saved = self.draws[lane];
-        let draws = &mut self.draws[lane];
+        let saved = l.draws;
         let mut fired = false;
         for _ in 0..tpl.n_dtlb {
-            fired |= draws.dtlb_misses(tpl.p_dtlb);
+            fired |= l.draws.dtlb_misses(tpl.p_dtlb);
         }
         for _ in 0..tpl.n_irq {
-            fired |= draws.irq_fires(tpl.p_irq);
+            fired |= l.draws.irq_fires(tpl.p_irq);
         }
         if fired {
-            self.draws[lane] = saved;
+            l.draws = saved;
             return None;
         }
         // The template sum IS the fold the live path would have produced
@@ -739,15 +634,42 @@ impl CoreBatch {
         // like the scalar recorder.
         out.extend_from_slice(&tpl.sum.0);
         out.extend_from_slice(&tpl.sum.0);
-        self.cycles[lane] += tpl.cycles;
-        self.steps[lane] += tpl.steps;
-        self.caches[lane].adopt_low_lines(&tpl.cache_after);
-        self.replay_hits += 1;
+        l.cycles += tpl.cycles;
+        l.steps += tpl.steps;
+        l.cache.adopt_low_lines(&tpl.cache_after);
         Some(tpl.support)
     }
 
+    /// Applies `dur_ns` of a rate-based mix to a lane: the kernel's
+    /// outcome, applied to the lane's counters (the mix's own activity
+    /// first, then its interrupts). Mixes feed no window.
+    pub(crate) fn step_mix(
+        &mut self,
+        lane: usize,
+        rate: &ActivityVector,
+        dur_ns: u64,
+        origin: Origin,
+    ) -> MixOutcome {
+        let l = &mut self.lanes[lane];
+        let out = mix_step(
+            rate,
+            dur_ns,
+            &self.interference,
+            &mut l.draws,
+            &mut self.poisson_limit,
+        );
+        l.cycles += out.delta[Feature::Cycles] as u64;
+        self.apply(lane, &out.delta, origin, false);
+        if out.n_irq > 0 {
+            let irq = irq_activity().scaled(out.n_irq as f64);
+            self.apply(lane, &irq, Origin::Host, false);
+        }
+        out
+    }
+
     /// Applies `dur_ns` of a rate-based activity mix to a lane (bit-equal
-    /// to [`Core::run_mix`] on the lane's scalar twin).
+    /// to [`Core::run_mix`] on the lane's one-lane twin). The mix feeds
+    /// the lane's counters, not its window sums.
     pub fn run_mix(
         &mut self,
         lane: usize,
@@ -755,20 +677,7 @@ impl CoreBatch {
         dur_ns: u64,
         origin: Origin,
     ) -> ActivityVector {
-        let out = mix_step(
-            rate,
-            dur_ns,
-            &self.interference,
-            &mut self.draws[lane],
-            &mut self.poisson_limit,
-        );
-        self.cycles[lane] += out.delta[Feature::Cycles] as u64;
-        self.apply(lane, &out.delta, origin, true);
-        if out.n_irq > 0 {
-            let irq = irq_activity().scaled(out.n_irq as f64);
-            self.apply(lane, &irq, Origin::Host, true);
-        }
-        out.delta
+        self.step_mix(lane, rate, dur_ns, origin).delta
     }
 
     /// Starts a lane `steps` mix steps further along its noise streams:
@@ -777,47 +686,42 @@ impl CoreBatch {
     /// begin where the core's own timeline would be after mixes run by
     /// other lanes (the counterpart of [`Core::skip_mixes`]).
     pub fn skip_mixes(&mut self, lane: usize, steps: u64) {
-        self.draws[lane].skip_mixes(steps);
+        self.lanes[lane].draws.skip_mixes(steps);
+    }
+
+    /// Adds unhalted cycles a lane spent elsewhere (see
+    /// [`Core::skip_mixes`]).
+    pub(crate) fn add_cycles(&mut self, lane: usize, cycles: u64) {
+        self.lanes[lane].cycles += cycles;
     }
 
     /// Flushes a lane's scratch data page (mirrors [`Core::reset_cache`]).
     pub fn reset_cache(&mut self, lane: usize) {
-        self.caches[lane] = DataPageCache::cold();
-    }
-
-    /// Zeroes every lane's window sums, opening a new measurement window.
-    pub fn clear_windows(&mut self) {
-        self.win_all.fill(0.0);
-        self.win_host.fill(0.0);
+        self.lanes[lane].cache = DataPageCache::cold();
     }
 
     /// A lane's current window sum over all origins. The fold is the same
-    /// component-wise f64 addition, in the same step order, as summing the
-    /// scalar core's recorded deltas — bit-identical by construction.
+    /// `ActivityVector` add, in the same step order, as summing the
+    /// windowed steps a core's activity log records — bit-identical by
+    /// construction.
     pub fn window_all(&self, lane: usize) -> ActivityVector {
-        self.window_row(&self.win_all, lane)
+        self.lanes[lane].win_all
     }
 
     /// A lane's current window sum restricted to host-origin deltas.
     pub fn window_host(&self, lane: usize) -> ActivityVector {
-        self.window_row(&self.win_host, lane)
-    }
-
-    fn window_row(&self, rows: &[f64], lane: usize) -> ActivityVector {
-        let mut v = ActivityVector::ZERO;
-        v.0.copy_from_slice(&rows[lane * Feature::COUNT..(lane + 1) * Feature::COUNT]);
-        v
+        self.lanes[lane].win_host
     }
 }
 
-/// A batch is an n-lane counter bank over its inherent slot methods.
+/// A batch is an n-lane counter bank; a [`Core`] is a one-lane one.
 impl CounterBank for CoreBatch {
     fn n_lanes(&self) -> usize {
-        self.n_lanes
+        self.lanes.len()
     }
 
     fn noise_base(&self, lane: usize) -> u64 {
-        self.noise_bases[lane]
+        self.lanes[lane].noise_base
     }
 
     fn has_event(&self, event: EventId) -> bool {
@@ -825,31 +729,56 @@ impl CounterBank for CoreBatch {
     }
 
     fn program(&mut self, slot: usize, config: CounterConfig) -> Result<(), PmuError> {
-        CoreBatch::program(self, slot, config)
+        if slot >= COUNTER_SLOTS {
+            return Err(PmuError::BadSlot(slot));
+        }
+        if !self.has_event(config.event) {
+            return Err(PmuError::UnknownEvent(config.event));
+        }
+        self.slots[slot] = Some(SlotTemplate {
+            config,
+            guest_visible: self.matrix.guest_visible(config.event),
+        });
+        for lane in &mut self.lanes {
+            lane.counters[slot] = CounterRow::ZERO;
+        }
+        Ok(())
     }
 
     fn clear_slot(&mut self, slot: usize) {
-        CoreBatch::clear_slot(self, slot);
+        if let Some(s) = self.slots.get_mut(slot) {
+            *s = None;
+        }
     }
 
     fn programmed_event(&self, slot: usize) -> Option<EventId> {
-        CoreBatch::programmed_event(self, slot)
+        self.slots.get(slot)?.as_ref().map(|t| t.config.event)
     }
 
+    /// Reads a lane's programmed counter: the fail-closed gate, then one
+    /// noise draw over the raw accumulation.
     fn rdpmc(&mut self, lane: usize, slot: usize) -> Result<u64, PmuError> {
-        CoreBatch::rdpmc(self, lane, slot)
+        if slot >= COUNTER_SLOTS {
+            return Err(PmuError::BadSlot(slot));
+        }
+        let t = self.slots[slot].ok_or(PmuError::Unprogrammed(slot))?;
+        let l = &mut self.lanes[lane];
+        if l.fail_closed && t.guest_visible {
+            return Ok(0);
+        }
+        let row = &mut l.counters[slot];
+        let draw = row.draws;
+        row.draws += 1;
+        Ok(read_counter(&self.matrix, t.config.event, l.noise_base, draw, &row.acc))
     }
 
+    /// Zeroes the accumulation; the noise stream continues from its
+    /// current draw index, like a real counter reset.
     fn reset_value(&mut self, lane: usize, slot: usize) {
-        CoreBatch::reset_value(self, lane, slot);
+        if slot < COUNTER_SLOTS && self.slots[slot].is_some() {
+            self.lanes[lane].counters[slot].acc = ActivityVector::ZERO;
+        }
     }
-}
-
-/// Truncate-and-refill a buffer: the arena-reuse primitive (`clear` keeps
-/// capacity; `resize` writes the template value into every element).
-fn fill<T: Copy>(buf: &mut Vec<T>, n: usize, value: T) {
-    buf.clear();
-    buf.resize(n, value);
 }
 
 #[cfg(test)]
@@ -892,35 +821,46 @@ mod tests {
             .find(|e| e.guest_visible && !e.response.is_empty())
             .unwrap()
             .id;
-        core.pmu_mut()
-            .program(
-                0,
-                CounterConfig {
-                    event: hw,
-                    filter: OriginFilter::Any,
-                },
-            )
-            .unwrap();
+        core.program(
+            0,
+            CounterConfig {
+                event: hw,
+                filter: OriginFilter::Any,
+            },
+        )
+        .unwrap();
         if let Some(sw) = catalog
             .events()
             .iter()
             .find(|e| !e.guest_visible && !e.response.is_empty())
         {
-            core.pmu_mut()
-                .program(
-                    2,
-                    CounterConfig {
-                        event: sw.id,
-                        filter: OriginFilter::HostOnly,
-                    },
-                )
-                .unwrap();
+            core.program(
+                2,
+                CounterConfig {
+                    event: sw.id,
+                    filter: OriginFilter::HostOnly,
+                },
+            )
+            .unwrap();
         }
         core
     }
 
-    /// Drives one scalar twin and one batch lane through the same session
-    /// script and asserts bit-identical observables at every checkpoint.
+    /// Lanes copied from `template`, lane `l` reseeded with `seeds[l]` —
+    /// the fuzzer's candidate sessions.
+    fn seeded(template: &Core, seeds: &[u64]) -> CoreBatch {
+        let mut batch = CoreBatch::from_core_state(template, seeds.len());
+        for (lane, &seed) in seeds.iter().enumerate() {
+            batch.reseed(lane, seed);
+        }
+        batch
+    }
+
+    /// Drives a one-lane twin (`template.clone()` + `reseed(seed)`) and
+    /// one lane of a wider batch through the same session script and
+    /// asserts bit-identical observables at every checkpoint. The lane's
+    /// window sums must equal the fold of the twin's logged instruction
+    /// steps: mixes feed counters, not windows.
     fn assert_lane_matches_scalar(
         template: &Core,
         batch: &mut CoreBatch,
@@ -932,6 +872,8 @@ mod tests {
         let mut scalar = template.clone();
         scalar.reseed(seed);
         scalar.start_recording();
+        // Per logged step: whether the batch lane folds it into its window.
+        let mut windowed = Vec::new();
         let mix = ActivityVector::from_pairs(&[
             (Feature::UopsRetired, 120.0),
             (Feature::Loads, 30.0),
@@ -960,17 +902,14 @@ mod tests {
                     batch.reset_cache(lane);
                 }
                 10 => {
-                    scalar.pmu_mut().reset_value(0);
+                    scalar.reset_value(0, 0);
                     batch.reset_value(lane, 0);
                 }
                 _ => {
-                    assert_eq!(
-                        scalar.pmu().rdpmc(0),
-                        batch.rdpmc(lane, 0),
-                        "rdpmc diverged"
-                    );
+                    assert_eq!(scalar.rdpmc(0, 0), batch.rdpmc(lane, 0), "rdpmc diverged");
                 }
             }
+            windowed.resize(scalar.recording_len(), step % 12 != 8);
         }
         assert_eq!(scalar.cycles(), batch.cycles(lane), "cycles diverged");
         assert_eq!(
@@ -978,13 +917,13 @@ mod tests {
             batch.cache_resident_lines(lane),
             "cache diverged"
         );
-        assert_eq!(scalar.pmu().rdpmc(0), batch.rdpmc(lane, 0));
-        // The batch window fold must equal folding the scalar recording.
+        assert_eq!(scalar.rdpmc(0, 0), batch.rdpmc(lane, 0));
+        assert_eq!(scalar.rdpmc(0, 2), batch.rdpmc(lane, 2));
         let log = scalar.take_recording();
         assert_eq!(log.len(), batch.steps(lane), "step count diverged");
         let mut all = ActivityVector::ZERO;
         let mut host = ActivityVector::ZERO;
-        for (origin, delta) in &log {
+        for ((origin, delta), _) in log.iter().zip(&windowed).filter(|(_, w)| **w) {
             all += *delta;
             if !origin.is_guest() {
                 host += *delta;
@@ -1005,8 +944,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Tentpole invariant: every lane of a batch is bit-identical to a
-        /// reseeded clone of the template on every model.
+        /// One-engine invariant: every lane of a width-n batch is
+        /// bit-identical to a reseeded one-lane clone of the template on
+        /// every model.
         #[test]
         fn lanes_match_scalar_reference_on_all_models(
             arch_ix in 0usize..MicroArch::ALL.len(),
@@ -1025,7 +965,7 @@ mod tests {
             }
             let seeds: Vec<u64> =
                 (0..n_lanes as u64).map(|l| derive_seed(seed, 0x7e57, l)).collect();
-            let mut batch = CoreBatch::from_template(&template, &seeds);
+            let mut batch = seeded(&template, &seeds);
             for (lane, &s) in seeds.iter().enumerate() {
                 assert_lane_matches_scalar(&template, &mut batch, lane, s, &script);
             }
@@ -1050,10 +990,13 @@ mod tests {
                 })
                 .collect()
         };
-        let mut reused = CoreBatch::from_template(&template, &seeds_a);
+        let mut reused = seeded(&template, &seeds_a);
         let _ = run(&mut reused);
-        reused.reset_from(&template, &seeds_b);
-        let mut fresh = CoreBatch::from_template(&template, &seeds_b);
+        reused.reset_from_core_state(&template, seeds_b.len());
+        for (lane, &seed) in seeds_b.iter().enumerate() {
+            reused.reseed(lane, seed);
+        }
+        let mut fresh = seeded(&template, &seeds_b);
         assert_eq!(run(&mut reused), run(&mut fresh));
     }
 
@@ -1066,7 +1009,7 @@ mod tests {
         let run_split = |width: usize| -> Vec<u64> {
             let mut out = Vec::new();
             for block in seeds.chunks(width) {
-                let mut batch = CoreBatch::from_template(&template, block);
+                let mut batch = seeded(&template, block);
                 for lane in 0..batch.n_lanes() {
                     for step in 0..60u8 {
                         let _ = batch.execute_instr(lane, &ops[(step % 8) as usize], Origin::Host);
@@ -1085,7 +1028,7 @@ mod tests {
     fn fail_closed_latches_per_lane_like_the_scalar_pmu() {
         let template = programmed_template(MicroArch::AmdEpyc7252, 21);
         let seeds: Vec<u64> = (0..4).map(|l| derive_seed(21, 5, l)).collect();
-        let mut batch = CoreBatch::from_template(&template, &seeds);
+        let mut batch = seeded(&template, &seeds);
         let load = well_known(WellKnown::Load64);
         for lane in 0..4 {
             for _ in 0..20 {
@@ -1110,14 +1053,14 @@ mod tests {
         for _ in 0..20 {
             twin.execute_instr(&load, Origin::Host).unwrap();
         }
-        assert_eq!(batch.rdpmc(1, 0).unwrap(), twin.pmu().rdpmc(0).unwrap());
+        assert_eq!(batch.rdpmc(1, 0).unwrap(), twin.rdpmc(0, 0).unwrap());
     }
 
     #[test]
     fn unwindowed_execution_advances_state_but_not_window_sums() {
         let template = programmed_template(MicroArch::AmdEpyc7252, 31);
         let seeds = [derive_seed(31, 1, 0)];
-        let mut batch = CoreBatch::from_template(&template, &seeds);
+        let mut batch = seeded(&template, &seeds);
         let cpuid = well_known(WellKnown::Cpuid);
         let load = well_known(WellKnown::Load64);
         batch.execute_unwindowed(0, &cpuid, Origin::Host).unwrap();
@@ -1129,6 +1072,19 @@ mod tests {
         assert!(batch.rdpmc(0, 0).unwrap() > 0);
         let serial = batch.window_all(0)[Feature::Serializations];
         assert_eq!(serial, 0.0, "CPUID delta must stay out of the window");
+        // A mix feeds the counters and not the window.
+        let window = batch.window_all(0);
+        let steps = batch.steps(0);
+        batch.reset_value(0, 0);
+        let mix = ActivityVector::from_pairs(&[(Feature::UopsRetired, 500.0)]);
+        batch.run_mix(0, &mix, 10_000, Origin::Host);
+        assert!(batch.rdpmc(0, 0).unwrap() > 0, "mix must feed the counter");
+        assert!(batch.steps(0) > steps, "a mix counts as a step");
+        assert_eq!(
+            batch.window_all(0).0.map(f64::to_bits),
+            window.0.map(f64::to_bits),
+            "mix leaked into the window"
+        );
     }
 
     /// Lane-group invariant: `from_core_state` lanes are exact mid-stream
@@ -1145,7 +1101,7 @@ mod tests {
             for step in 0..23u8 {
                 let _ = core.execute_instr(&ops[(step % 8) as usize], Origin::Host);
             }
-            let _ = core.pmu().rdpmc(0);
+            let _ = core.rdpmc(0, 0);
             let mut batch = CoreBatch::from_core_state(&core, 3);
             for lane in 0..3 {
                 let mut twin = core.clone();
@@ -1160,7 +1116,7 @@ mod tests {
                     assert_eq!(s, b, "mid-stream lane diverged from clone");
                 }
                 assert_eq!(twin.cycles(), batch.cycles(lane));
-                assert_eq!(twin.pmu().rdpmc(0), batch.rdpmc(lane, 0));
+                assert_eq!(twin.rdpmc(0, 0), batch.rdpmc(lane, 0));
             }
         }
     }
@@ -1184,7 +1140,7 @@ mod tests {
         };
         // An arena that ran a seeded candidate first, then is reset onto
         // core state, must equal a fresh lane-group batch.
-        let mut reused = CoreBatch::from_template(&core, &[1, 2, 3, 4, 5, 6]);
+        let mut reused = seeded(&core, &[1, 2, 3, 4, 5, 6]);
         let _ = run(&mut reused);
         reused.reset_from_core_state(&core, 4);
         let mut fresh = CoreBatch::from_core_state(&core, 4);
@@ -1237,14 +1193,14 @@ mod tests {
         batch.clear_slot(0);
         assert_eq!(batch.programmed_event(0), None);
         assert_eq!(batch.rdpmc(0, 0), Err(PmuError::Unprogrammed(0)));
-        // Out-of-range clears are ignored, exactly like `Pmu::clear`.
+        // Out-of-range clears are ignored, exactly as on a core.
         batch.clear_slot(COUNTER_SLOTS + 3);
     }
 
     #[test]
     fn program_and_bad_slot_errors_match_pmu_semantics() {
         let template = programmed_template(MicroArch::AmdEpyc7252, 41);
-        let mut batch = CoreBatch::from_template(&template, &[1, 2]);
+        let mut batch = seeded(&template, &[1, 2]);
         let ev = template.catalog().lookup(named::RETIRED_UOPS).unwrap();
         let cfg = CounterConfig {
             event: ev,

@@ -1,11 +1,18 @@
 //! Performance monitoring unit: four programmable counters per core.
+//!
+//! Counters accumulate raw activity vectors; the event's linear response
+//! (one dense [`crate::ResponseMatrix`] row), a measurement-noise draw,
+//! and RDPMC truncation are applied per *read*. Noise streams are keyed
+//! per (event, read index) from the lane's noise base — never from its
+//! execution draws — so counter values are independent of slot
+//! programming order and execution is independent of which counters are
+//! programmed. The counter rows themselves live in [`crate::CoreBatch`];
+//! a [`crate::Core`] is one lane of it.
 
-use crate::activity::{ActivityVector, Origin};
-use crate::events::{EventCatalog, EventId};
-use crate::response::{CounterLane, ResponseMatrix};
+use crate::activity::Origin;
+use crate::events::EventId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// Number of programmable counter registers per core (both testbed CPUs
 /// expose four, which bounds concurrent monitoring — `C = 4` in the
@@ -45,12 +52,6 @@ pub struct CounterConfig {
     pub filter: OriginFilter,
 }
 
-#[derive(Debug, Clone)]
-struct Counter {
-    config: CounterConfig,
-    lane: CounterLane,
-}
-
 /// Error programming or reading the PMU.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PmuError {
@@ -74,160 +75,10 @@ impl fmt::Display for PmuError {
 
 impl std::error::Error for PmuError {}
 
-/// The per-core PMU: four programmable counters over executed activity.
-///
-/// Counters accumulate raw activity vectors; the event's linear response
-/// (one dense [`ResponseMatrix`] row), a measurement-noise draw, and
-/// RDPMC truncation are applied per *read*. Noise streams are keyed
-/// per (event, read index) from the core's noise base — never from the
-/// core's execution RNG — so counter values are independent of slot
-/// programming order and core execution is independent of which counters
-/// are programmed.
-#[derive(Debug, Clone)]
-pub struct Pmu {
-    catalog: Arc<EventCatalog>,
-    matrix: Arc<ResponseMatrix>,
-    noise_base: u64,
-    slots: [Option<Counter>; COUNTER_SLOTS],
-    /// Fail-closed latch: while set, guest-visible lanes read 0 (the
-    /// counter is architecturally disabled — no RDPMC happens, so no
-    /// noise draw is consumed). Set by the host's supervision layer
-    /// whenever obfuscation on this core cannot be guaranteed.
-    fail_closed: bool,
-}
-
-impl Pmu {
-    /// Creates a PMU over the given event catalog with all slots free.
-    /// `noise_base` keys the measurement-noise streams (derive it from
-    /// the core seed via [`crate::response::noise_base_for_seed`]).
-    pub fn new(catalog: Arc<EventCatalog>, noise_base: u64) -> Self {
-        let matrix = ResponseMatrix::shared(catalog.arch());
-        Pmu {
-            catalog,
-            matrix,
-            noise_base,
-            slots: [None, None, None, None],
-            fail_closed: false,
-        }
-    }
-
-    /// Latches (or releases) fail-closed mode. While latched, reads of
-    /// guest-visible lanes return 0 and consume no noise draws —
-    /// degraded output is *absent*, never clean. Host-only software
-    /// events keep reading normally: they carry no guest secrets.
-    pub fn set_fail_closed(&mut self, on: bool) {
-        self.fail_closed = on;
-    }
-
-    /// Whether the fail-closed latch is set.
-    pub fn fail_closed(&self) -> bool {
-        self.fail_closed
-    }
-
-    /// The catalog this PMU resolves events against.
-    pub fn catalog(&self) -> &Arc<EventCatalog> {
-        &self.catalog
-    }
-
-    /// The shared dense response matrix backing accumulation.
-    pub fn matrix(&self) -> &Arc<ResponseMatrix> {
-        &self.matrix
-    }
-
-    /// The noise base keying this PMU's measurement-noise streams.
-    pub fn noise_base(&self) -> u64 {
-        self.noise_base
-    }
-
-    /// Re-keys the measurement-noise streams (used by `Core::reseed`).
-    /// Does not reset per-lane draw counters.
-    pub fn set_noise_base(&mut self, noise_base: u64) {
-        self.noise_base = noise_base;
-    }
-
-    /// Programs a counter slot, zeroing its value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmuError::BadSlot`] or [`PmuError::UnknownEvent`].
-    pub fn program(&mut self, slot: usize, config: CounterConfig) -> Result<(), PmuError> {
-        if slot >= COUNTER_SLOTS {
-            return Err(PmuError::BadSlot(slot));
-        }
-        if self.catalog.get(config.event).is_none() {
-            return Err(PmuError::UnknownEvent(config.event));
-        }
-        self.slots[slot] = Some(Counter {
-            config,
-            lane: CounterLane::new(&self.matrix, config.event),
-        });
-        Ok(())
-    }
-
-    /// Clears a counter slot.
-    pub fn clear(&mut self, slot: usize) {
-        if let Some(s) = self.slots.get_mut(slot) {
-            *s = None;
-        }
-    }
-
-    /// Reads a programmed counter (the `RDPMC` instruction). Every read
-    /// consumes one draw of the event's measurement-noise stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmuError::Unprogrammed`] or [`PmuError::BadSlot`].
-    pub fn rdpmc(&self, slot: usize) -> Result<u64, PmuError> {
-        let c = self
-            .slots
-            .get(slot)
-            .ok_or(PmuError::BadSlot(slot))?
-            .as_ref()
-            .ok_or(PmuError::Unprogrammed(slot))?;
-        if self.fail_closed && c.lane.guest_visible() {
-            return Ok(0);
-        }
-        Ok(c.lane.read(&self.matrix, self.noise_base))
-    }
-
-    /// Zeroes the value of a programmed counter without reprogramming it.
-    pub fn reset_value(&mut self, slot: usize) {
-        if let Some(Some(c)) = self.slots.get_mut(slot).map(Option::as_mut) {
-            c.lane.reset_value();
-        }
-    }
-
-    /// Event programmed in a slot, if any.
-    pub fn programmed_event(&self, slot: usize) -> Option<EventId> {
-        self.slots.get(slot)?.as_ref().map(|c| c.config.event)
-    }
-
-    /// Full configuration and lane state of a programmed slot — the batch
-    /// engine's template view when seeding lanes from an existing core.
-    pub(crate) fn slot_state(&self, slot: usize) -> Option<(CounterConfig, &CounterLane)> {
-        self.slots.get(slot)?.as_ref().map(|c| (c.config, &c.lane))
-    }
-
-    /// Accumulates an activity delta into all matching counters.
-    ///
-    /// Guest-origin activity only moves events that are guest visible —
-    /// the SEV observability boundary described in the paper: hardware
-    /// events fire for sealed guests while host software events and most
-    /// tracepoints do not.
-    pub fn apply(&mut self, delta: &ActivityVector, origin: Origin) {
-        for slot in self.slots.iter_mut().flatten() {
-            if !slot.config.filter.matches(origin) {
-                continue;
-            }
-            slot.lane.accumulate(delta, origin);
-        }
-    }
-}
-
 /// The counter slots a perf-style recorder programs and reads: one slot
 /// configuration shared by `n_lanes` lockstep lanes, each with its own
-/// counter values. A [`crate::Core`] is a one-lane bank over its [`Pmu`];
-/// a [`crate::CoreBatch`] is an n-lane bank.
+/// counter values. A [`crate::Core`] is a one-lane bank; a
+/// [`crate::CoreBatch`] is an n-lane bank.
 pub trait CounterBank {
     /// Number of lanes.
     fn n_lanes(&self) -> usize;
@@ -259,31 +110,29 @@ pub trait CounterBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::Feature;
+    use crate::activity::{ActivityVector, Feature};
     use crate::arch::MicroArch;
+    use crate::core::tests::{feed, program, quiet_core};
     use crate::events::named;
+    use crate::Core;
 
-    fn pmu() -> (Pmu, EventId) {
-        let cat = EventCatalog::shared(MicroArch::AmdEpyc7252);
-        let ev = cat.lookup(named::RETIRED_UOPS).unwrap();
-        (Pmu::new(cat, 0xbead), ev)
+    fn core() -> (Core, EventId) {
+        let core = quiet_core(MicroArch::AmdEpyc7252, 0xbead);
+        let ev = core.catalog().lookup(named::RETIRED_UOPS).unwrap();
+        (core, ev)
+    }
+
+    fn uops(n: f64) -> ActivityVector {
+        ActivityVector::from_pairs(&[(Feature::UopsRetired, n)])
     }
 
     #[test]
     fn program_and_read() {
-        let (mut pmu, ev) = pmu();
-        pmu.program(
-            0,
-            CounterConfig {
-                event: ev,
-                filter: OriginFilter::Any,
-            },
-        )
-        .unwrap();
-        assert_eq!(pmu.rdpmc(0).unwrap(), 0);
-        let delta = ActivityVector::from_pairs(&[(Feature::UopsRetired, 1000.0)]);
-        pmu.apply(&delta, Origin::Host);
-        let v = pmu.rdpmc(0).unwrap();
+        let (mut core, ev) = core();
+        program(&mut core, ev);
+        assert_eq!(core.rdpmc(0, 0).unwrap(), 0);
+        feed(&mut core, &uops(1000.0), Origin::Host);
+        let v = core.rdpmc(0, 0).unwrap();
         assert!((900..1100).contains(&v), "{v}");
     }
 
@@ -292,7 +141,7 @@ mod tests {
         // Programming the same pair of events in either slot order must
         // produce identical values: noise streams are keyed per event,
         // not per slot or per shared-RNG consumption order.
-        let cat = EventCatalog::shared(MicroArch::AmdEpyc7252);
+        let cat = crate::EventCatalog::shared(MicroArch::AmdEpyc7252);
         let uops = cat.lookup(named::RETIRED_UOPS).unwrap();
         let refills = cat.lookup(named::DATA_CACHE_REFILLS_FROM_SYSTEM).unwrap();
         let deltas: Vec<ActivityVector> = (0..20)
@@ -304,9 +153,9 @@ mod tests {
             })
             .collect();
         let run = |order: [EventId; 2]| {
-            let mut pmu = Pmu::new(Arc::clone(&cat), 0xabcd);
+            let mut core = quiet_core(MicroArch::AmdEpyc7252, 0xabcd);
             for (slot, &event) in order.iter().enumerate() {
-                pmu.program(
+                core.program(
                     slot,
                     CounterConfig {
                         event,
@@ -316,11 +165,11 @@ mod tests {
                 .unwrap();
             }
             for d in &deltas {
-                pmu.apply(d, Origin::Host);
+                feed(&mut core, d, Origin::Host);
             }
             let mut by_event = std::collections::BTreeMap::new();
             for slot in 0..2 {
-                by_event.insert(pmu.programmed_event(slot).unwrap(), pmu.rdpmc(slot).unwrap());
+                by_event.insert(core.programmed_event(slot).unwrap(), core.rdpmc(0, slot).unwrap());
             }
             by_event
         };
@@ -329,9 +178,9 @@ mod tests {
 
     #[test]
     fn bad_slot_and_unprogrammed_errors() {
-        let (mut pmu, ev) = pmu();
+        let (mut core, ev) = core();
         assert_eq!(
-            pmu.program(
+            core.program(
                 9,
                 CounterConfig {
                     event: ev,
@@ -340,16 +189,16 @@ mod tests {
             ),
             Err(PmuError::BadSlot(9))
         );
-        assert_eq!(pmu.rdpmc(1), Err(PmuError::Unprogrammed(1)));
-        assert_eq!(pmu.rdpmc(10), Err(PmuError::BadSlot(10)));
+        assert_eq!(core.rdpmc(0, 1), Err(PmuError::Unprogrammed(1)));
+        assert_eq!(core.rdpmc(0, 10), Err(PmuError::BadSlot(10)));
     }
 
     #[test]
     fn unknown_event_rejected() {
-        let (mut pmu, _) = pmu();
+        let (mut core, _) = core();
         let bogus = EventId(999_999);
         assert_eq!(
-            pmu.program(
+            core.program(
                 0,
                 CounterConfig {
                     event: bogus,
@@ -362,8 +211,8 @@ mod tests {
 
     #[test]
     fn guest_filter_excludes_host_activity() {
-        let (mut pmu, ev) = pmu();
-        pmu.program(
+        let (mut core, ev) = core();
+        core.program(
             0,
             CounterConfig {
                 event: ev,
@@ -371,45 +220,35 @@ mod tests {
             },
         )
         .unwrap();
-        let delta = ActivityVector::from_pairs(&[(Feature::UopsRetired, 100.0)]);
-        pmu.apply(&delta, Origin::Host);
-        pmu.apply(&delta, Origin::Guest(3));
-        assert_eq!(pmu.rdpmc(0).unwrap(), 0);
-        pmu.apply(&delta, Origin::Guest(7));
-        assert!(pmu.rdpmc(0).unwrap() > 0);
+        feed(&mut core, &uops(100.0), Origin::Host);
+        feed(&mut core, &uops(100.0), Origin::Guest(3));
+        assert_eq!(core.rdpmc(0, 0).unwrap(), 0);
+        feed(&mut core, &uops(100.0), Origin::Guest(7));
+        assert!(core.rdpmc(0, 0).unwrap() > 0);
     }
 
     #[test]
     fn guest_invisible_events_ignore_guest_activity() {
-        let cat = EventCatalog::shared(MicroArch::AmdEpyc7252);
+        let (mut core, _) = core();
         // Find a software event (never guest visible) with a response.
+        let cat = core.catalog();
         let sw = cat
             .events()
             .iter()
             .find(|e| !e.guest_visible && !e.response.is_empty())
             .unwrap();
-        let feature = sw.response[0].0;
-        let id = sw.id;
-        let mut pmu = Pmu::new(cat, 0xbead);
-        pmu.program(
-            0,
-            CounterConfig {
-                event: id,
-                filter: OriginFilter::Any,
-            },
-        )
-        .unwrap();
-        let delta = ActivityVector::from_pairs(&[(feature, 500.0)]);
-        pmu.apply(&delta, Origin::Guest(1));
-        assert_eq!(pmu.rdpmc(0).unwrap(), 0);
-        pmu.apply(&delta, Origin::Host);
-        assert!(pmu.rdpmc(0).unwrap() > 0);
+        program(&mut core, sw.id);
+        let delta = ActivityVector::from_pairs(&[(sw.response[0].0, 500.0)]);
+        feed(&mut core, &delta, Origin::Guest(1));
+        assert_eq!(core.rdpmc(0, 0).unwrap(), 0);
+        feed(&mut core, &delta, Origin::Host);
+        assert!(core.rdpmc(0, 0).unwrap() > 0);
     }
 
     #[test]
     fn reset_value_zeroes_without_reprogram() {
-        let (mut pmu, ev) = pmu();
-        pmu.program(
+        let (mut core, ev) = core();
+        core.program(
             2,
             CounterConfig {
                 event: ev,
@@ -417,75 +256,57 @@ mod tests {
             },
         )
         .unwrap();
-        pmu.apply(
-            &ActivityVector::from_pairs(&[(Feature::UopsRetired, 50.0)]),
-            Origin::Host,
-        );
-        assert!(pmu.rdpmc(2).unwrap() > 0);
-        pmu.reset_value(2);
-        assert_eq!(pmu.rdpmc(2).unwrap(), 0);
-        assert_eq!(pmu.programmed_event(2), Some(ev));
+        feed(&mut core, &uops(50.0), Origin::Host);
+        assert!(core.rdpmc(0, 2).unwrap() > 0);
+        core.reset_value(0, 2);
+        assert_eq!(core.rdpmc(0, 2).unwrap(), 0);
+        assert_eq!(core.programmed_event(2), Some(ev));
     }
 
     #[test]
     fn clear_frees_slot() {
-        let (mut pmu, ev) = pmu();
-        pmu.program(
-            0,
-            CounterConfig {
-                event: ev,
-                filter: OriginFilter::Any,
-            },
-        )
-        .unwrap();
-        pmu.clear(0);
-        assert_eq!(pmu.rdpmc(0), Err(PmuError::Unprogrammed(0)));
+        let (mut core, ev) = core();
+        program(&mut core, ev);
+        core.clear_slot(0);
+        assert_eq!(core.rdpmc(0, 0), Err(PmuError::Unprogrammed(0)));
     }
 
     #[test]
     fn fail_closed_zeroes_guest_visible_reads_without_draws() {
-        let (mut pmu, ev) = pmu();
-        pmu.program(
-            0,
-            CounterConfig {
-                event: ev,
-                filter: OriginFilter::Any,
-            },
-        )
-        .unwrap();
-        pmu.apply(
-            &ActivityVector::from_pairs(&[(Feature::UopsRetired, 1000.0)]),
-            Origin::Host,
-        );
-        let twin = pmu.clone();
-        pmu.set_fail_closed(true);
-        assert!(pmu.fail_closed());
-        assert_eq!(pmu.rdpmc(0).unwrap(), 0, "latched read is zero");
+        let (mut core, ev) = core();
+        program(&mut core, ev);
+        feed(&mut core, &uops(1000.0), Origin::Host);
+        let mut twin = core.clone();
+        core.set_fail_closed(true);
+        assert!(core.fail_closed());
+        assert_eq!(core.rdpmc(0, 0).unwrap(), 0, "latched read is zero");
         // No draws were consumed while latched: after release, the first
         // real read matches draw 0 on the untouched twin.
-        pmu.set_fail_closed(false);
-        assert_eq!(pmu.rdpmc(0).unwrap(), twin.rdpmc(0).unwrap());
+        core.set_fail_closed(false);
+        assert_eq!(core.rdpmc(0, 0).unwrap(), twin.rdpmc(0, 0).unwrap());
     }
 
     #[test]
     fn measurement_noise_is_bounded() {
-        let (mut pmu, ev) = pmu();
-        pmu.program(
-            0,
-            CounterConfig {
-                event: ev,
-                filter: OriginFilter::Any,
-            },
-        )
-        .unwrap();
-        for _ in 0..100 {
-            pmu.apply(
-                &ActivityVector::from_pairs(&[(Feature::UopsRetired, 1000.0)]),
-                Origin::Host,
-            );
+        // Each read scales the true count by one gaussian draw of relative
+        // deviation `noise_rel`, which the catalog keeps below 2%: over
+        // many reads of 100 applications of 1000, the rms relative error
+        // stays within 2% and the mean within 0.5%.
+        let (mut core, ev) = core();
+        program(&mut core, ev);
+        let reads = 64;
+        let (mut sum, mut sq) = (0.0, 0.0);
+        for _ in 0..reads {
+            core.reset_value(0, 0);
+            for _ in 0..100 {
+                feed(&mut core, &uops(1000.0), Origin::Host);
+            }
+            let rel = core.rdpmc(0, 0).unwrap() as f64 / 100_000.0 - 1.0;
+            sum += rel;
+            sq += rel * rel;
         }
-        let v = pmu.rdpmc(0).unwrap() as f64;
-        // 100 applications of 1000 with ~1% relative noise: within 2%.
-        assert!((v - 100_000.0).abs() < 2_000.0, "{v}");
+        let (mean, rms) = (sum / f64::from(reads), (sq / f64::from(reads)).sqrt());
+        assert!(rms < 0.02, "rms relative error {rms}");
+        assert!(mean.abs() < 0.005, "mean relative error {mean}");
     }
 }

@@ -1,7 +1,7 @@
 //! The dense measurement kernel: a flat `[n_events × Feature::COUNT]`
 //! response matrix derived from the sparse [`EventCatalog`], per-event
-//! derived noise streams, and the counter-accumulation primitive shared by
-//! the live [`crate::Pmu`] and offline trace evaluation.
+//! derived noise streams, and the counter-read primitive shared by the
+//! live counters of [`crate::CoreBatch`] and offline trace evaluation.
 //!
 //! The sparse `EventDesc::response` vectors remain the single source of
 //! truth; the matrix is derived state, rebuilt deterministically from the
@@ -11,12 +11,11 @@
 //! per-event interpreter and a kernel when the fuzzer sweeps thousands of
 //! events × hundreds of gadgets × 10 reps.
 
-use crate::activity::{ActivityVector, Feature, Origin};
+use crate::activity::{ActivityVector, Feature};
 use crate::arch::MicroArch;
 use crate::events::{EventCatalog, EventId};
 use crate::rand_util::gauss_from_bits;
 use aegis_par::derive_seed;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 // The support bitmask packs one bit per feature into a u32.
@@ -196,9 +195,10 @@ pub(crate) fn arch_slot(arch: MicroArch) -> usize {
 /// the `draw`-th draw of the event's measurement-noise stream, and
 /// quantization to an integer count.
 ///
-/// This is the single definition of counter-read arithmetic.
-/// [`CounterLane::read`] and the fuzzer's trace evaluator both funnel
-/// through it, so the live and batched measurement paths cannot drift.
+/// This is the single definition of counter-read arithmetic. Live
+/// counter reads (`CounterBank::rdpmc`) and the fuzzer's trace evaluator
+/// both funnel through it, so the live and replayed measurement paths
+/// cannot drift.
 /// A zero response reads zero without touching the noise stream's value
 /// (the draw index is still consumed by the caller, keeping read indices
 /// aligned across paths).
@@ -220,124 +220,12 @@ pub fn read_counter(
     (raw * (1.0 + matrix.noise_rel(event) * g)).max(0.0).round() as u64
 }
 
-/// One simulated counter register: the accumulation state of a programmed
-/// event. The live [`crate::Pmu`] and the fuzzer's offline trace evaluator
-/// both read counters through this type, so a replayed activity trace
-/// produces bit-identical values to the original execution.
-///
-/// Accumulation is *raw*: the lane folds activity vectors component-wise
-/// and defers the event dot product, measurement noise, and RDPMC
-/// truncation to [`CounterLane::read`]. Deferring makes accumulation
-/// linear in the activity — a window's fold equals the fold of its sum —
-/// which is what lets the trace evaluator replace a per-instruction walk
-/// with one precomputed sum per measurement window. Noise is one
-/// multiplicative gaussian per read (read index = draw index), modelling
-/// per-measurement external interference the way the paper's protocol
-/// medians it away, instead of per-instruction jitter.
-#[derive(Debug)]
-pub struct CounterLane {
-    event: EventId,
-    guest_visible: bool,
-    acc: ActivityVector,
-    /// Reads consumed so far — atomic (relaxed) so `read` can stay
-    /// `&self` like the RDPMC it models while still advancing the noise
-    /// stream, and so cores stay `Sync` for the parallel executor. Lanes
-    /// are never read concurrently; the atomic is for the type system,
-    /// not for cross-thread counting.
-    draws: AtomicU64,
-}
-
-impl Clone for CounterLane {
-    fn clone(&self) -> Self {
-        CounterLane {
-            event: self.event,
-            guest_visible: self.guest_visible,
-            acc: self.acc,
-            draws: AtomicU64::new(self.draws.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl PartialEq for CounterLane {
-    fn eq(&self, other: &Self) -> bool {
-        self.event == other.event
-            && self.guest_visible == other.guest_visible
-            && self.acc == other.acc
-            && self.draws.load(Ordering::Relaxed) == other.draws.load(Ordering::Relaxed)
-    }
-}
-
-impl CounterLane {
-    /// A freshly programmed counter: zero accumulation, noise stream at
-    /// draw 0. Captures the event's SEV visibility from the matrix so the
-    /// per-step accumulate needs no matrix access.
-    pub fn new(matrix: &ResponseMatrix, event: EventId) -> Self {
-        CounterLane {
-            event,
-            guest_visible: matrix.guest_visible(event),
-            acc: ActivityVector::ZERO,
-            draws: AtomicU64::new(0),
-        }
-    }
-
-    /// The counted event.
-    pub fn event(&self) -> EventId {
-        self.event
-    }
-
-    /// Whether guest-origin activity moves this counter.
-    pub fn guest_visible(&self) -> bool {
-        self.guest_visible
-    }
-
-    /// The raw accumulation (batch-engine template view).
-    pub(crate) fn acc(&self) -> &ActivityVector {
-        &self.acc
-    }
-
-    /// Draws consumed so far (batch-engine template view).
-    pub(crate) fn draws_consumed(&self) -> u64 {
-        self.draws.load(Ordering::Relaxed)
-    }
-
-    /// Accumulates one activity delta, applying the SEV observability
-    /// boundary (guest activity only moves guest-visible events). A
-    /// component-wise fold — no dot product, no noise.
-    pub fn accumulate(&mut self, delta: &ActivityVector, origin: Origin) {
-        if origin.is_guest() && !self.guest_visible {
-            return;
-        }
-        self.acc += *delta;
-    }
-
-    /// Reads the counter: event response of the accumulated activity, one
-    /// measurement-noise draw, quantization to an integer count. Advances
-    /// the lane's noise stream by exactly one draw per call.
-    pub fn read(&self, matrix: &ResponseMatrix, noise_base: u64) -> u64 {
-        self.read_acc(matrix, noise_base, &self.acc)
-    }
-
-    /// [`CounterLane::read`] over a caller-provided accumulation — the
-    /// trace evaluator's entry point, where the accumulation is a
-    /// precomputed window sum rather than the lane's own fold. Shares the
-    /// response/noise/truncation arithmetic with `read` so the two paths
-    /// cannot drift.
-    pub fn read_acc(&self, matrix: &ResponseMatrix, noise_base: u64, acc: &ActivityVector) -> u64 {
-        let draw = self.draws.fetch_add(1, Ordering::Relaxed);
-        read_counter(matrix, self.event, noise_base, draw, acc)
-    }
-
-    /// Zeroes the accumulation. The noise stream continues from its
-    /// current draw index, mirroring a real counter reset (the event stays
-    /// programmed).
-    pub fn reset_value(&mut self) {
-        self.acc = ActivityVector::ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activity::Origin;
+    use crate::core::tests::{feed, program, quiet_core};
+    use crate::CounterBank;
     use aegis_par::splitmix64;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -469,25 +357,35 @@ mod tests {
             })
             .collect();
         let run = |event: EventId| {
-            let mut lane = CounterLane::new(&matrix, event);
+            let mut core = quiet_core(arch, 42);
+            program(&mut core, event);
             for (d, o) in &deltas {
-                lane.accumulate(d, *o);
+                feed(&mut core, d, *o);
             }
-            lane.read(&matrix, 42)
+            core.rdpmc(0, 0).unwrap()
         };
         assert_eq!(run(hw), run(hw), "replay must be bit-identical");
-        // A guest-invisible event sees exactly its host-only share.
-        let mut host_only = CounterLane::new(&matrix, sw);
-        let mut all = CounterLane::new(&matrix, sw);
+        // The live read is the shared read arithmetic over the fold.
+        let mut fold = ActivityVector::ZERO;
+        for (d, _) in &deltas {
+            fold += *d;
+        }
+        let base = quiet_core(arch, 42).noise_base(0);
+        assert_eq!(run(hw), read_counter(&matrix, hw, base, 0, &fold));
+        // A guest-invisible event sees exactly its host-only share: lane
+        // 0 sees every delta, lane 1 only the host ones.
+        let mut core = quiet_core(arch, 42);
+        program(&mut core, sw);
+        let mut lanes = crate::CoreBatch::from_core_state(&core, 2);
         for (d, o) in &deltas {
-            all.accumulate(d, *o);
+            lanes.run_mix(0, d, 1_000, *o);
             if !o.is_guest() {
-                host_only.accumulate(d, *o);
+                lanes.run_mix(1, d, 1_000, *o);
             }
         }
         assert_eq!(
-            all.read(&matrix, 42),
-            host_only.read(&matrix, 42),
+            lanes.rdpmc(0, 0),
+            lanes.rdpmc(1, 0),
             "guest activity leaked into a host-only event"
         );
     }
@@ -495,21 +393,24 @@ mod tests {
     #[test]
     fn lane_reads_advance_the_noise_stream_and_resets_do_not() {
         let arch = MicroArch::AmdEpyc7252;
-        let catalog = EventCatalog::shared(arch);
-        let matrix = ResponseMatrix::shared(arch);
-        let ev = catalog.lookup(crate::events::named::RETIRED_UOPS).unwrap();
-        let mut lane = CounterLane::new(&matrix, ev);
-        lane.accumulate(&delta_for(1), Origin::Host);
-        let first = lane.read(&matrix, 42);
+        let ev = EventCatalog::shared(arch)
+            .lookup(crate::events::named::RETIRED_UOPS)
+            .unwrap();
+        let fed = || {
+            let mut core = quiet_core(arch, 42);
+            program(&mut core, ev);
+            feed(&mut core, &delta_for(1), Origin::Host);
+            core
+        };
+        let mut lane = fed();
+        let first = lane.rdpmc(0, 0).unwrap();
         // Same accumulation, later draw index: a different noisy value in
         // general (draw 0 vs draw 1 of the stream).
-        let second = lane.read(&matrix, 42);
-        let mut fresh = CounterLane::new(&matrix, ev);
-        fresh.accumulate(&delta_for(1), Origin::Host);
-        assert_eq!(first, fresh.read(&matrix, 42), "draw 0 must replay");
+        let second = lane.rdpmc(0, 0).unwrap();
+        assert_eq!(first, fed().rdpmc(0, 0).unwrap(), "draw 0 must replay");
         assert_ne!(first, second, "reads must consume distinct draws");
         // reset_value clears the accumulation but not the draw index.
-        lane.reset_value();
-        assert_eq!(lane.read(&matrix, 42), 0, "reset lane reads zero");
+        lane.reset_value(0, 0);
+        assert_eq!(lane.rdpmc(0, 0).unwrap(), 0, "reset lane reads zero");
     }
 }

@@ -3,7 +3,7 @@
 
 use aegis_isa::{well_known, WellKnown};
 use aegis_microarch::{
-    named, ActivityVector, Core, CounterConfig, EventCatalog, EventKind, Feature,
+    named, ActivityVector, Core, CounterBank, CounterConfig, EventCatalog, EventKind, Feature,
     InterferenceConfig, MicroArch, Origin, OriginFilter, COUNTER_SLOTS,
 };
 
@@ -19,20 +19,19 @@ fn isolation_reduces_measurement_variance() {
         let mut core = Core::new(MicroArch::AmdEpyc7252, seed);
         core.set_interference(cfg);
         let ev = core.catalog().lookup(named::RETIRED_UOPS).unwrap();
-        core.pmu_mut()
-            .program(
-                0,
-                CounterConfig {
-                    event: ev,
-                    filter: OriginFilter::Any,
-                },
-            )
-            .unwrap();
+        core.program(
+            0,
+            CounterConfig {
+                event: ev,
+                filter: OriginFilter::Any,
+            },
+        )
+        .unwrap();
         (0..200)
             .map(|_| {
-                core.pmu_mut().reset_value(0);
+                core.reset_value(0, 0);
                 core.run_mix(&uops_rate(100.0), 1_000_000, Origin::Guest(0));
-                core.pmu().rdpmc(0).unwrap() as f64
+                core.rdpmc(0, 0).unwrap() as f64
             })
             .collect()
     };
@@ -56,25 +55,24 @@ fn counters_accumulate_independently() {
     let uops = cat.lookup(named::RETIRED_UOPS).unwrap();
     let stores = cat.lookup(named::HW_CACHE_L1D_WRITE).unwrap();
     for (slot, ev) in [(0, uops), (1, stores)] {
-        core.pmu_mut()
-            .program(
-                slot,
-                CounterConfig {
-                    event: ev,
-                    filter: OriginFilter::Any,
-                },
-            )
-            .unwrap();
+        core.program(
+            slot,
+            CounterConfig {
+                event: ev,
+                filter: OriginFilter::Any,
+            },
+        )
+        .unwrap();
     }
     // Pure compute: µops move, stores do not.
     let compute = ActivityVector::from_pairs(&[(Feature::UopsRetired, 500.0)]);
     core.run_mix(&compute, 1_000_000, Origin::Host);
-    assert!(core.pmu().rdpmc(0).unwrap() > 100_000);
-    assert_eq!(core.pmu().rdpmc(1).unwrap(), 0);
+    assert!(core.rdpmc(0, 0).unwrap() > 100_000);
+    assert_eq!(core.rdpmc(0, 1).unwrap(), 0);
     // Store burst: the second counter moves too.
     let writes = ActivityVector::from_pairs(&[(Feature::Stores, 200.0)]);
     core.run_mix(&writes, 1_000_000, Origin::Host);
-    assert!(core.pmu().rdpmc(1).unwrap() > 100_000);
+    assert!(core.rdpmc(0, 1).unwrap() > 100_000);
 }
 
 #[test]
@@ -82,19 +80,18 @@ fn all_counter_slots_are_usable() {
     let mut core = Core::new(MicroArch::AmdEpyc7252, 5);
     let ids = core.catalog().attack_events();
     for (slot, ev) in ids.into_iter().enumerate() {
-        core.pmu_mut()
-            .program(
-                slot,
-                CounterConfig {
-                    event: ev,
-                    filter: OriginFilter::Any,
-                },
-            )
-            .unwrap();
+        core.program(
+            slot,
+            CounterConfig {
+                event: ev,
+                filter: OriginFilter::Any,
+            },
+        )
+        .unwrap();
     }
     assert_eq!(COUNTER_SLOTS, 4);
     for slot in 0..COUNTER_SLOTS {
-        assert!(core.pmu().rdpmc(slot).is_ok());
+        assert!(core.rdpmc(0, slot).is_ok());
     }
 }
 
@@ -103,20 +100,19 @@ fn serializing_instructions_count_serializations() {
     let mut core = Core::new(MicroArch::AmdEpyc7252, 5);
     core.set_interference(InterferenceConfig::isolated());
     let ev = core.catalog().lookup("RETIRED_SERIALIZING_OPS").unwrap();
-    core.pmu_mut()
-        .program(
-            0,
-            CounterConfig {
-                event: ev,
-                filter: OriginFilter::Any,
-            },
-        )
-        .unwrap();
+    core.program(
+        0,
+        CounterConfig {
+            event: ev,
+            filter: OriginFilter::Any,
+        },
+    )
+    .unwrap();
     let cpuid = well_known(WellKnown::Cpuid);
     for _ in 0..50 {
         core.execute_instr(&cpuid, Origin::Host).unwrap();
     }
-    let v = core.pmu().rdpmc(0).unwrap();
+    let v = core.rdpmc(0, 0).unwrap();
     assert!((45..=55).contains(&v), "serializations {v}");
 }
 

@@ -516,7 +516,7 @@ impl Host {
         }
         fs.fail_closed = on;
         fs.unhealthy_ticks = 0;
-        self.cores[core_idx].pmu_mut().set_fail_closed(on);
+        self.cores[core_idx].set_fail_closed(on);
         if on {
             aegis_obs::counter_add("host.fail_closed_latches", 1.0);
         }
@@ -1009,7 +1009,7 @@ impl Host {
         let core = &mut self.cores[core_idx];
         if failed.is_some() {
             for slot in 0..COUNTER_SLOTS {
-                core.pmu_mut().clear(slot);
+                core.clear_slot(slot);
             }
         }
         core.skip_mixes(walked.0, cycles);
@@ -1056,7 +1056,7 @@ impl TickCore for Core {
     }
 
     fn set_fail_closed(&mut self, on: bool) {
-        self.pmu_mut().set_fail_closed(on);
+        Core::set_fail_closed(self, on);
     }
 }
 
@@ -1736,7 +1736,7 @@ mod tests {
             assert!(host.core_fail_closed(core), "detach never heals");
         }
         // Fail-closed means the PMU lane itself reads zero.
-        assert!(host.core(core).pmu().fail_closed());
+        assert!(host.core(core).fail_closed());
     }
 
     #[test]
@@ -1785,7 +1785,7 @@ mod tests {
         for _ in 0..100 {
             host.tick();
             assert!(host.core_fail_closed(core));
-            assert!(host.core(core).pmu().fail_closed());
+            assert!(host.core(core).fail_closed());
         }
 
         // A healthy injector releases the forced latch through the
@@ -2008,7 +2008,7 @@ mod tests {
         let got = host.record_trace(&[0, 1], &events, OriginFilter::Any, 1_000_000, 1_000_000);
         assert!(got.is_err());
         assert!(
-            (0..COUNTER_SLOTS).all(|slot| host.core(0).pmu().programmed_event(slot).is_none()),
+            (0..COUNTER_SLOTS).all(|slot| host.core(0).programmed_event(slot).is_none()),
             "core 0 opened before core 1 failed, so its slots are released"
         );
     }

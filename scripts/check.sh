@@ -20,13 +20,31 @@ VENDORED="--exclude criterion --exclude crossbeam --exclude proptest --exclude r
 echo "== cargo test -q =="
 # The workspace's default members are the root package plus every
 # first-party crate, so this runs each crate's own suite too. The
-# lane-vs-scalar bit-exactness checks live in crates/microarch (engine
-# proptests), crates/sev (recording proptests), tests/profiler_probes.rs
-# (probe lanes), crates/perf (one recorder over a core and a lane group),
+# lane-vs-scalar bit-exactness checks live in crates/microarch (lanes of
+# wide batches vs one-lane Core twins) and
+# crates/microarch/tests/engine_pin.rs (Core and batch sessions vs
+# digests pinned on the engine with a separate scalar counter unit),
+# crates/sev (recording proptests), tests/profiler_probes.rs (probe
+# lanes), crates/perf (one recorder over a core and a lane group),
 # crates/aegis's unit tests (dataset and cross-tenant lanes vs their
 # forks) and crates/aegis/tests/mea_pin.rs (MEA lanes vs digests pinned
 # on the per-unit fork loop).
 cargo test -q
+
+echo "== cargo check --manifest-path benchmark/Cargo.toml =="
+# benchmark/ is a workspace of its own, so the steps above never build
+# it; check its calls against the current library API. Its committed
+# lock file still lists crates the workspace has since dropped, and
+# cargo rewrites it even offline, so a copy is put back afterwards and
+# benchmark/ stays unmodified.
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
+CARGO_TARGET_DIR=target/benchmark-check \
+    cargo check --offline --manifest-path benchmark/Cargo.toml
+cp "$bench_lock" benchmark/Cargo.lock
+rm -f "$bench_lock"
+trap - EXIT
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 # Tests, benches and examples are linted too, not just the libraries.

@@ -10,7 +10,9 @@
 use aegis::faults::FaultPlan;
 use aegis::fuzzer::{EventFuzzer, FuzzerConfig};
 use aegis::isa::{IsaCatalog, Vendor};
-use aegis::microarch::{named, Core, CounterConfig, InterferenceConfig, MicroArch, OriginFilter};
+use aegis::microarch::{
+    named, Core, CounterBank, CounterConfig, InterferenceConfig, MicroArch, OriginFilter,
+};
 use aegis::par::ArtifactCache;
 use aegis::sev::{Host, PlanSource, SevMode};
 use aegis::workloads::{MixSpec, Segment, WorkloadPlan};
@@ -116,15 +118,15 @@ proptest! {
         let (mut clean, cc) = guest_host(FaultPlan::none(), host_seed, 300.0, false);
         let ev = faulted.core(fc).catalog().lookup(named::RETIRED_UOPS).unwrap();
         let cfg = CounterConfig { event: ev, filter: OriginFilter::Any };
-        faulted.core_mut(fc).pmu_mut().program(0, cfg).unwrap();
-        clean.core_mut(cc).pmu_mut().program(0, cfg).unwrap();
+        faulted.core_mut(fc).program(0, cfg).unwrap();
+        clean.core_mut(cc).program(0, cfg).unwrap();
 
         let mut latched_ticks = 0u32;
         for t in 0..400u32 {
             faulted.tick();
             clean.tick();
-            let fv = faulted.core(fc).pmu().rdpmc(0).unwrap();
-            let cv = clean.core(cc).pmu().rdpmc(0).unwrap();
+            let fv = faulted.core_mut(fc).rdpmc(0, 0).unwrap();
+            let cv = clean.core_mut(cc).rdpmc(0, 0).unwrap();
             prop_assert!(cv > 0, "clean twin must observe activity at tick {}", t);
             if faulted.core_fail_closed(fc) {
                 latched_ticks += 1;

@@ -196,10 +196,13 @@ fn batched_core_recording_is_invariant_to_workers_and_lane_width() {
             |_worker| None::<CoreBatch>,
             |arena, _unit, block| {
                 match arena {
-                    Some(batch) => batch.reset_from(template, &block),
-                    None => *arena = Some(CoreBatch::from_template(template, &block)),
+                    Some(batch) => batch.reset_from_core_state(template, block.len()),
+                    None => *arena = Some(CoreBatch::from_core_state(template, block.len())),
                 }
                 let batch = arena.as_mut().expect("arena just filled");
+                for (lane, &seed) in block.iter().enumerate() {
+                    batch.reseed(lane, seed);
+                }
                 let seqs: Vec<&[InstrId]> = vec![seq.as_slice(); block.len()];
                 let mut rec = BatchTraceRecorder::begin(batch, catalog);
                 for _ in 0..5 {

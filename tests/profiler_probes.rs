@@ -9,7 +9,7 @@
 //! unchanged under `AEGIS_FAULTS=smoke`.
 
 use aegis::faults::FaultPlan;
-use aegis::microarch::{named, EventId, MicroArch, OriginFilter};
+use aegis::microarch::{named, CounterBank, EventId, MicroArch, OriginFilter};
 use aegis::par::{fingerprint, set_threads};
 use aegis::perf::Trace;
 use aegis::profiler::{rank_events, warmup_profile, RankConfig, WarmupConfig};
@@ -248,8 +248,8 @@ fn a_failing_probe_leaves_the_host_where_the_loop_does() {
     // The failed open left the same partial programming behind.
     for slot in 0..4 {
         assert_eq!(
-            a.core(0).pmu().programmed_event(slot),
-            b.core(0).pmu().programmed_event(slot)
+            a.core(0).programmed_event(slot),
+            b.core(0).programmed_event(slot)
         );
     }
 }
