@@ -17,7 +17,7 @@
 //! sampling. Writes `BENCH_core.json` with sessions/sec for the scalar
 //! path and the batched path at lane widths 1/8/32/128; widths above
 //! [`CoreBatch::TILE_LANES`] are tiled into cache-sized lane blocks
-//! (see [`run_batched`]). `AEGIS_BENCH_SMOKE=1` runs one pass of each
+//! (see [`record_batched`]). `AEGIS_BENCH_SMOKE=1` runs one pass of each
 //! path without sampling.
 
 use aegis::fuzzer::{BatchTraceRecorder, RecordedTrace, TraceRecorder};
@@ -59,7 +59,7 @@ fn gadget_seqs() -> ([InstrId; 2], [InstrId; 1]) {
 
 /// Records `SESSIONS` sessions object-at-a-time: fresh core clone +
 /// reseed + per-step activity log per session (the scalar reference).
-fn run_scalar(catalog: &IsaCatalog, template: &Core) -> Vec<RecordedTrace> {
+fn record_scalar(catalog: &IsaCatalog, template: &Core) -> Vec<RecordedTrace> {
     let (full, reset) = gadget_seqs();
     (0..SESSIONS)
         .map(|idx| {
@@ -91,7 +91,7 @@ fn run_scalar(catalog: &IsaCatalog, template: &Core) -> Vec<RecordedTrace> {
 /// debt BENCH_core.json used to show. Tiling keeps each block
 /// cache-resident; the trace stream is identical because lanes never
 /// interact.
-fn run_batched(
+fn record_batched(
     catalog: &IsaCatalog,
     template: &Core,
     arena: &mut Option<CoreBatch>,
@@ -173,18 +173,18 @@ fn child_main(id: &str) {
         let mut g = criterion.benchmark_group("core_kernel");
         g.sample_size(10);
         if id == "scalar" {
-            black_box(run_scalar(&catalog, &template).len()); // untimed warmup
+            black_box(record_scalar(&catalog, &template).len()); // untimed warmup
             g.bench_function("scalar", |b| {
-                b.iter(|| black_box(run_scalar(&catalog, &template).len()));
+                b.iter(|| black_box(record_scalar(&catalog, &template).len()));
             });
         } else if let Some(width) = id
             .strip_prefix("batched-")
             .and_then(|w| w.parse::<usize>().ok())
         {
             let mut arena = None;
-            black_box(run_batched(&catalog, &template, &mut arena, width).len());
+            black_box(record_batched(&catalog, &template, &mut arena, width).len());
             g.bench_function(id, |b| {
-                b.iter(|| black_box(run_batched(&catalog, &template, &mut arena, width).len()));
+                b.iter(|| black_box(record_batched(&catalog, &template, &mut arena, width).len()));
             });
         } else {
             panic!("unknown bench id {id:?}");
@@ -207,10 +207,10 @@ fn parent_main() {
     // The scalar-reference invariant, asserted on every run (smoke and
     // sampled alike): the two paths being compared produce bit-identical
     // traces, so the benchmark measures execution cost and nothing else.
-    let reference = run_scalar(&catalog, &template);
+    let reference = record_scalar(&catalog, &template);
     for width in LANE_WIDTHS {
         let mut arena = None;
-        let batched = run_batched(&catalog, &template, &mut arena, width);
+        let batched = record_batched(&catalog, &template, &mut arena, width);
         assert_eq!(reference, batched, "lane width {width} diverged");
     }
 

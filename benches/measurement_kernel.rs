@@ -1,14 +1,9 @@
-//! The vectorized measurement plane versus the scalar reference path.
+//! The event fuzzer's measurement plane: `fuzz_path/vectorized` records
+//! each candidate's measurement session once and evaluates every event
+//! against the recorded traces through the dense response matrix, on
+//! one worker.
 //!
-//! `fuzz_path/scalar` re-simulates every candidate gadget through the
-//! core once per event (the pre-vectorization pipeline, kept as
-//! `EventFuzzer::run_scalar`); `fuzz_path/vectorized` records each
-//! candidate's measurement session once and evaluates every event
-//! against the recorded traces through the dense response matrix. The
-//! `event_fuzzing/workers-N` group sweeps the vectorized path across
-//! worker counts with process-shared ISA and event catalogs.
-//!
-//! Writes `BENCH_kernel.json`. `AEGIS_BENCH_SMOKE=1` runs each workload
+//! Writes `BENCH_kernel.json`. `AEGIS_BENCH_SMOKE=1` runs the workload
 //! once without criterion sampling so CI can smoke-test the bench
 //! without burning minutes.
 
@@ -45,8 +40,8 @@ fn setup() -> (std::sync::Arc<IsaCatalog>, Core, Vec<EventId>) {
     (isa, core, events)
 }
 
-/// Pre-warmed cleanup cache: both paths share the same deterministic
-/// cleanup, so a warm cache keeps its cost out of the comparison.
+/// Pre-warmed cleanup cache: cleanup is deterministic, so a warm cache
+/// keeps its cost out of the measurement.
 fn warm_cache(dir: &std::path::Path) -> ArtifactCache {
     let cache = ArtifactCache::new(dir);
     let (isa, mut core, events) = setup();
@@ -55,40 +50,19 @@ fn warm_cache(dir: &std::path::Path) -> ArtifactCache {
     cache
 }
 
-fn run_path(cache_dir: &std::path::Path, scalar: bool) -> FuzzOutcome {
+fn run_path(cache_dir: &std::path::Path) -> FuzzOutcome {
     let (isa, mut core, events) = setup();
     let fuzzer = EventFuzzer::with_cache(fuzz_config(), ArtifactCache::new(cache_dir));
-    if scalar {
-        fuzzer.run_scalar(&isa, &mut core, &events)
-    } else {
-        fuzzer.run(&isa, &mut core, &events)
-    }
+    fuzzer.run(&isa, &mut core, &events)
 }
 
 fn bench_paths(c: &mut Criterion, cache_dir: &std::path::Path) {
     let mut g = c.benchmark_group("fuzz_path");
     g.sample_size(5);
-    set_threads(1);
-    g.bench_function("scalar", |b| {
-        b.iter(|| black_box(run_path(cache_dir, true).report.gadgets_tested));
-    });
     g.bench_function("vectorized", |b| {
-        b.iter(|| black_box(run_path(cache_dir, false).report.gadgets_tested));
+        b.iter(|| black_box(run_path(cache_dir).report.gadgets_tested));
     });
     g.finish();
-}
-
-fn bench_workers(c: &mut Criterion, cache_dir: &std::path::Path) {
-    let mut g = c.benchmark_group("event_fuzzing");
-    g.sample_size(5);
-    for workers in [1usize, 2, 4] {
-        g.bench_function(&format!("workers-{workers}"), |b| {
-            set_threads(workers);
-            b.iter(|| black_box(run_path(cache_dir, false).report.gadgets_tested));
-        });
-    }
-    g.finish();
-    set_threads(1);
 }
 
 fn main() {
@@ -96,19 +70,12 @@ fn main() {
     let _ = std::fs::remove_dir_all(&tmp);
     let _ = warm_cache(&tmp);
 
+    set_threads(1);
     if std::env::var("AEGIS_BENCH_SMOKE").as_deref() == Ok("1") {
-        // One iteration per workload, no criterion sampling: proves the
-        // bench compiles and both paths run end to end.
-        set_threads(1);
-        let scalar = run_path(&tmp, true);
-        let vectorized = run_path(&tmp, false);
-        assert_eq!(
-            scalar.report.gadgets_tested,
-            vectorized.report.gadgets_tested
-        );
-        set_threads(2);
-        let _ = run_path(&tmp, false);
-        set_threads(1);
+        // One iteration, no criterion sampling: proves the bench compiles
+        // and the pipeline tests every candidate for every event.
+        let outcome = run_path(&tmp);
+        assert_eq!(outcome.report.gadgets_tested, N_EVENTS * CANDIDATES);
         let _ = std::fs::remove_dir_all(&tmp);
         eprintln!("[measurement_kernel smoke OK]");
         return;
@@ -116,7 +83,6 @@ fn main() {
 
     let mut criterion = Criterion::default().configure_from_args();
     bench_paths(&mut criterion, &tmp);
-    bench_workers(&mut criterion, &tmp);
     let _ = std::fs::remove_dir_all(&tmp);
 
     let rows: Vec<serde_json::Value> = criterion
@@ -135,27 +101,12 @@ fn main() {
             serde_json::Value::Object(row)
         })
         .collect();
-    let results = criterion.results();
-    let median_of = |id: &str| {
-        results
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.median_ns)
-            .unwrap_or(0.0)
-    };
-    let scalar = median_of("fuzz_path/scalar");
-    let vectorized = median_of("fuzz_path/vectorized");
     let mut out = serde_json::Map::new();
     out.insert(
         "workload".to_string(),
         serde_json::Value::String(format!(
             "{N_EVENTS} events x {CANDIDATES} candidates, confirm_reps 10, warm cleanup cache"
         )),
-    );
-    out.insert(
-        "speedup_vectorized_vs_scalar".to_string(),
-        serde_json::to_value(if vectorized > 0.0 { scalar / vectorized } else { 0.0 })
-            .expect("ratio serializes"),
     );
     out.insert("rows".to_string(), serde_json::Value::Array(rows));
     let json = serde_json::to_string_pretty(&serde_json::Value::Object(out))

@@ -108,28 +108,27 @@ fn peak_norm(
     events: &[aegis::microarch::EventId],
     collect: &aegis::CollectConfig,
 ) -> f64 {
-    use aegis::sev::PlanSource;
+    use aegis::sev::{PlanSource, Probe};
     use rand::SeedableRng;
     let obf = aegis::obfuscator::ObfuscatorConfig::default();
-    let core = host.core_of(vm, 0).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x9eaf);
+    let probes = (0..app.n_secrets())
+        .step_by((app.n_secrets() / 5).max(1))
+        .map(|secret| Probe {
+            source: PlanSource::new(app.sample_plan(secret, &mut rng)),
+            events,
+            interval_ns: collect.interval_ns,
+            duration_ns: collect.window_ns,
+        });
     let mut peak = 0.0f64;
-    for secret in (0..app.n_secrets()).step_by((app.n_secrets() / 5).max(1)) {
-        let plan = app.sample_plan(secret, &mut rng);
-        host.attach_app(vm, 0, Box::new(PlanSource::new(plan)))
-            .unwrap();
-        let trace = host
-            .record_trace(
-                &[core],
-                events,
-                aegis::microarch::OriginFilter::Any,
-                collect.interval_ns,
-                collect.window_ns,
-            )
-            .unwrap()
-            .remove(0);
-        peak = peak.max(trace.peak());
-    }
+    host.record_probes(
+        vm,
+        0,
+        aegis::microarch::OriginFilter::Any,
+        probes,
+        |trace| peak = peak.max(trace.peak()),
+    )
+    .unwrap();
     let sub_per_sample = collect.interval_ns as f64 / obf.interval_ns as f64;
     peak / sub_per_sample / obf.noise_scale_counts
 }

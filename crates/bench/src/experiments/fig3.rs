@@ -6,7 +6,7 @@ use crate::output::{print_header, print_kv, Table};
 use crate::scenarios::{new_host, wfa_app, ExpConfig};
 use aegis::attack::{qq_against_normal, qq_correlation, Gaussian, Mat, Pca};
 use aegis::microarch::{named, OriginFilter};
-use aegis::sev::PlanSource;
+use aegis::sev::{PlanSource, Probe};
 use aegis::workloads::SecretApp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,38 +27,31 @@ pub fn run(cfg: &ExpConfig) {
     let window_ns = 300_000_000;
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xf193);
 
-    // Measure `reps` accesses of each of the first 10 sites.
-    let mut series: Vec<Vec<Vec<f64>>> = Vec::with_capacity(n_sites);
-    for site in 0..n_sites {
-        let mut rows = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let plan = app.sample_plan(site, &mut rng);
-            host.attach_app(vm, 0, Box::new(PlanSource::new(plan)))
-                .unwrap();
-            let trace = host
-                .record_trace(
-                    &[core],
-                    &[event],
-                    OriginFilter::GuestOnly(vm.0),
-                    5_000_000,
-                    window_ns,
-                )
-                .unwrap()
-                .remove(0);
-            rows.push(trace.row(0).to_vec());
-        }
-        series.push(rows);
-    }
+    // Measure `reps` accesses of each of the first 10 sites, site by site.
+    let events = [event];
+    let probes = (0..n_sites)
+        .flat_map(|site| std::iter::repeat_n(site, reps))
+        .map(|site| Probe {
+            source: PlanSource::new(app.sample_plan(site, &mut rng)),
+            events: &events,
+            interval_ns: 5_000_000,
+            duration_ns: window_ns,
+        });
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n_sites * reps);
+    host.record_probes(vm, 0, OriginFilter::GuestOnly(vm.0), probes, |trace| {
+        rows.push(trace.row(0).to_vec())
+    })
+    .unwrap();
 
     // PCA feature extraction over all measurements (Section V-B).
     let mut all = Mat::default();
-    for row in series.iter().flatten() {
+    for row in &rows {
         all.push_row(row);
     }
     let pca = Pca::fit(&all, 1);
-    let features: Vec<Vec<f64>> = series
-        .iter()
-        .map(|rows| rows.iter().map(|r| pca.transform1(r)).collect())
+    let features: Vec<Vec<f64>> = rows
+        .chunks(reps)
+        .map(|site_rows| site_rows.iter().map(|r| pca.transform1(r)).collect())
         .collect();
 
     // (a) histogram for facebook.com (site index 2).

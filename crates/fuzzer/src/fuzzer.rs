@@ -13,17 +13,14 @@ use aegis_microarch::{noise_base_for_seed, Core, CoreBatch, EventId, ResponseMat
 use aegis_obs as obs;
 use aegis_par::{derive_seed, run_checkpointed, ArtifactCache, ArtifactKey, Executor};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 use std::time::Instant;
 
-/// Seed-derivation stream tag for per-event fuzzing RNGs (scalar path).
-const STREAM_FUZZ: u64 = 0x10;
-/// Stream tag for the shared candidate-pool sampler (vectorized path).
+/// Seed-derivation stream tag for the shared candidate-pool sampler.
 const STREAM_POOL: u64 = 0x11;
-/// Stream tag for per-candidate recording sessions (vectorized path).
+/// Stream tag for per-candidate recording sessions.
 const STREAM_SESSION: u64 = 0x12;
 
 /// Candidates recorded between two checkpoint persists when the
@@ -99,7 +96,7 @@ impl EventGadgets {
 
 /// Per-event fuzzing result with its timing attribution (internal: the
 /// parallel run loop folds these into the [`FuzzReport`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct FuzzedEvent {
     confirmed: Vec<ConfirmedGadget>,
     tested: usize,
@@ -379,67 +376,6 @@ impl EventFuzzer {
         FuzzOutcome { per_event, report }
     }
 
-    /// The pre-vectorization pipeline: every event re-simulates every
-    /// candidate through the core. Kept as the reference implementation —
-    /// the kernel benchmark measures the vectorized [`EventFuzzer::run`]
-    /// against it, and it documents the protocol the traces replay.
-    ///
-    /// Events fuzz independently across the configured worker pool: each
-    /// event gets a pristine clone of the post-cleanup core and an RNG
-    /// seeded by `derive_seed(seed, STREAM_FUZZ, event_index)`, so the
-    /// outcome is bit-identical regardless of the worker count.
-    pub fn run_scalar(
-        &self,
-        catalog: &IsaCatalog,
-        core: &mut Core,
-        events: &[EventId],
-    ) -> FuzzOutcome {
-        let run_span = obs::span("fuzz.run");
-        let mut report = FuzzReport::default();
-
-        let cleanup_span = obs::span("fuzz.cleanup");
-        let cleanup = self.cleanup(catalog, core);
-        cleanup_span.finish();
-        report.cleanup_seconds = cleanup.stats.wall_seconds;
-        report.usable_instructions = cleanup.usable.len();
-
-        let baseline: &Core = core;
-        let cleanup_ref = &cleanup;
-        let units: Vec<(usize, EventId)> = events.iter().copied().enumerate().collect();
-        let results = Executor::from_config().map_with(
-            units,
-            |_worker| baseline.clone(),
-            |pristine, _unit, (idx, event)| {
-                let mut ev_core = pristine.clone();
-                let mut rng = StdRng::seed_from_u64(derive_seed(
-                    self.config.seed,
-                    STREAM_FUZZ,
-                    idx as u64,
-                ));
-                let timed =
-                    self.fuzz_event(catalog, &mut ev_core, cleanup_ref, event, &mut rng);
-                (event, timed)
-            },
-        );
-        let mut per_event = Vec::with_capacity(events.len());
-        for (event, timed) in results {
-            report.gadgets_tested += timed.tested;
-            report.generation_seconds += timed.generation_seconds;
-            report.confirmation_seconds += timed.confirmation_seconds;
-            per_event.push(EventGadgets {
-                event,
-                confirmed: timed.confirmed,
-            });
-        }
-        obs::counter_add("fuzz.gadgets_tested", report.gadgets_tested as f64);
-        obs::counter_add(
-            "fuzz.confirmed",
-            per_event.iter().map(|e| e.confirmed.len()).sum::<usize>() as f64,
-        );
-        run_span.finish();
-        FuzzOutcome { per_event, report }
-    }
-
     /// Evaluates one event against the shared recorded traces. The walk
     /// is lazy: candidates whose generation-phase median stays under
     /// `min_effect` never pay for their confirmation windows.
@@ -479,7 +415,7 @@ impl EventFuzzer {
                 noise_base_for_seed(derive_seed(self.config.seed, STREAM_SESSION, idx as u64));
             let mut eval = TraceEval::new(trace, matrix, noise_base, event);
 
-            // Generation gate (the scalar path's measure_median).
+            // Generation gate: the median of the first `reps` windows.
             let delta = eval.median_of(reps);
             gen_windows += reps;
             if delta < self.config.min_effect {
@@ -521,106 +457,10 @@ impl EventFuzzer {
         }
     }
 
-    /// Fuzzes one event; returns confirmed gadgets (strongest first),
-    /// the number of candidates tested, and the step timings.
-    fn fuzz_event(
-        &self,
-        catalog: &IsaCatalog,
-        core: &mut Core,
-        cleanup: &CleanupResult,
-        event: EventId,
-        rng: &mut StdRng,
-    ) -> FuzzedEvent {
-        let usable = &cleanup.usable;
-        if usable.is_empty() {
-            return FuzzedEvent::default();
-        }
-        program_event(core, event);
-
-        // Generation + execution: sample candidate (reset, trigger) pairs
-        // and keep those whose hot path moves the counter.
-        let gen_span = obs::span("fuzz.generate");
-        let mut candidates: Vec<(Gadget, f64)> = Vec::new();
-        let budget = self.config.candidates_per_event;
-        for _ in 0..budget {
-            let reset = usable[rng.gen_range(0..usable.len())];
-            let trigger = usable[rng.gen_range(0..usable.len())];
-            let gadget = Gadget::new(reset, trigger);
-            let delta = measure_median(core, catalog, &[reset, trigger], self.config.measure_reps);
-            if delta >= self.config.min_effect {
-                candidates.push((gadget, delta));
-            }
-        }
-        let gen_elapsed = gen_span.finish();
-
-        // Confirmation: repeated triggers (cold vs hot path, Fig. 6).
-        // The span also covers the reordering cross-validation below —
-        // the same window the legacy report attributed to confirmation.
-        let confirm_span = obs::span("fuzz.confirm");
-        let mut confirmed: Vec<ConfirmedGadget> = Vec::new();
-        for (gadget, _) in &candidates {
-            if let Some(effect) = self.confirm(catalog, core, *gadget) {
-                let reset = catalog.get(gadget.reset).expect("usable id");
-                let trigger = catalog.get(gadget.trigger).expect("usable id");
-                confirmed.push(ConfirmedGadget {
-                    gadget: *gadget,
-                    effect,
-                    cluster: GadgetCluster::of(reset, trigger),
-                });
-            }
-        }
-
-        // Gadgets reordering: re-measure in a shuffled order and drop
-        // gadgets whose behaviour depends on inherited dirty state.
-        let mut order: Vec<usize> = (0..confirmed.len()).collect();
-        order.shuffle(rng);
-        let mut stable = vec![false; confirmed.len()];
-        for &i in &order {
-            let g = confirmed[i].gadget;
-            let redo = measure_median(
-                core,
-                catalog,
-                &[g.reset, g.trigger],
-                self.config.measure_reps,
-            );
-            let base = confirmed[i].effect.max(1.0);
-            stable[i] = (redo - confirmed[i].effect).abs() / base <= self.config.reorder_tolerance;
-        }
-        let mut result: Vec<ConfirmedGadget> = confirmed
-            .into_iter()
-            .zip(stable)
-            .filter_map(|(g, ok)| ok.then_some(g))
-            .collect();
-        result.sort_by(|a, b| b.effect.total_cmp(&a.effect));
-
-        // Attribute wall time: generation+execution vs confirmation. The
-        // timings return explicitly so worker threads can report them —
-        // a thread-local accumulator would strand them on the worker.
-        FuzzedEvent {
-            confirmed: result,
-            tested: budget,
-            generation_seconds: gen_elapsed,
-            confirmation_seconds: confirm_span.finish(),
-        }
-    }
-
-    /// The repeated-triggers check: runs the cold path (reset only) and
-    /// the hot path (reset + trigger) `R` times each, then applies the
-    /// paper's constraints
-    /// `V2 − V1 = (1 − λ1) R (v2 − v1)` and `V2 > λ2 V1`.
-    /// Returns the per-execution hot-path effect if confirmed.
-    fn confirm(&self, catalog: &IsaCatalog, core: &mut Core, gadget: Gadget) -> Option<f64> {
-        self.confirm_seq(
-            catalog,
-            core,
-            &[gadget.reset],
-            &[gadget.reset, gadget.trigger],
-        )
-    }
-
-    /// Sequence-general form of the repeated-triggers check (used by both
-    /// the single-instruction fast path and the multi-instruction
-    /// extension).
+    /// The repeated-triggers check on live measurements: runs the cold
+    /// path (`reset_seq`) and the hot path (`full_seq`) `R` times each,
+    /// then applies `confirm_samples`. Returns the
+    /// per-execution hot-path effect if confirmed.
     fn confirm_seq(
         &self,
         catalog: &IsaCatalog,
@@ -634,9 +474,10 @@ impl EventFuzzer {
         self.confirm_samples(cold, hot)
     }
 
-    /// The λ-constraint arithmetic of the repeated-triggers check, shared
-    /// by the scalar path (live measurements) and the vectorized path
-    /// (windows read back from a recorded trace).
+    /// The λ-constraint arithmetic of the repeated-triggers check,
+    /// `V2 − V1 = (1 − λ1) R (v2 − v1)` and `V2 > λ2 V1`, shared by live
+    /// measurements (`confirm_seq`) and windows read back
+    /// from a recorded trace.
     fn confirm_samples(&self, mut cold: Vec<f64>, mut hot: Vec<f64>) -> Option<f64> {
         let r = cold.len();
         let v1_sum: f64 = cold.iter().sum();
@@ -819,7 +660,7 @@ mod tests {
         program_event(&mut core, ev);
         let fuzzer = EventFuzzer::new(quick_config());
         let g = Gadget::new(WellKnown::Clflush.id(), WellKnown::Load64.id());
-        let effect = fuzzer.confirm(&catalog, &mut core, g);
+        let effect = fuzzer.confirm_seq(&catalog, &mut core, &[g.reset], &[g.reset, g.trigger]);
         assert!(effect.is_some(), "flush+load must confirm on refill event");
         assert!(effect.unwrap() >= 0.9);
     }
@@ -834,7 +675,9 @@ mod tests {
         program_event(&mut core, ev);
         let fuzzer = EventFuzzer::new(quick_config());
         let g = Gadget::new(WellKnown::Nop.id(), WellKnown::Add64.id());
-        assert!(fuzzer.confirm(&catalog, &mut core, g).is_none());
+        assert!(fuzzer
+            .confirm_seq(&catalog, &mut core, &[g.reset], &[g.reset, g.trigger])
+            .is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! 1. **Hierarchical spans** ([`span`]): RAII guards with monotonic
 //!    wall-clock timing and optional simulated-time attribution. Spans
-//!    nest per thread (`pipeline.offline/fuzz.run/fuzz.generate`), and
+//!    nest per thread (`pipeline.offline/fuzz.run/fuzz.record`), and
 //!    every close records into the metrics registry.
 //! 2. **A metrics registry** ([`Registry`]): named counters, gauges, and
 //!    histograms with fixed log2 buckets. Take [`snapshot`]s and diff

@@ -19,9 +19,9 @@ pub(crate) fn clear_thread_stack() {
 /// Opens a span. The guard records on drop (or explicitly via
 /// [`SpanGuard::finish`], which also returns the elapsed seconds so
 /// callers can keep feeding legacy report structs from the same
-/// measurement). Span names are dotted (`"fuzz.generate"`); nesting
+/// measurement). Span names are dotted (`"fuzz.record"`); nesting
 /// *within a thread* is captured as a slash-joined path
-/// (`"pipeline.offline/fuzz.run/fuzz.generate"`).
+/// (`"pipeline.offline/fuzz.run/fuzz.record"`).
 ///
 /// At [`ObsLevel::Off`] the guard is inert: it still measures (so
 /// `finish()` stays meaningful to callers) but records nothing.

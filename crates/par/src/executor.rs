@@ -1,10 +1,11 @@
 //! A scoped worker pool with deterministic, index-ordered results.
 
 use aegis_obs as obs;
-use crossbeam::channel;
 use serde_json::Value;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 /// Process-wide worker count: 0 means "not configured yet".
@@ -119,56 +120,42 @@ impl Executor {
             return out;
         }
 
-        let (work_tx, work_rx) = channel::unbounded::<(usize, T)>();
-        let (done_tx, done_rx) = channel::unbounded::<(usize, R)>();
-        for pair in items.into_iter().enumerate() {
-            work_tx
-                .send(pair)
-                .ok()
-                .expect("receiver alive until scope ends");
-        }
-        drop(work_tx);
-
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let work_rx = work_rx.clone();
-                let done_tx = done_tx.clone();
-                let make_ctx = &make_ctx;
-                let work = &work;
-                scope.spawn(move || {
-                    let mut ctx = make_ctx(worker);
-                    let mut units = 0u64;
-                    let mut idle_ns = 0u128;
-                    loop {
-                        let wait = Instant::now();
-                        let Ok((index, item)) = work_rx.recv() else {
-                            break;
-                        };
-                        idle_ns += wait.elapsed().as_nanos();
-                        let result = work(&mut ctx, index, item);
-                        units += 1;
-                        done_tx
-                            .send((index, result))
-                            .ok()
-                            .expect("collector alive until scope ends");
-                    }
-                    if observe {
-                        record_worker_stats(worker, units, idle_ns as u64);
-                    }
-                });
-            }
-            drop(done_tx);
-            drop(work_rx);
-            // The spawning thread doubles as the collector.
-            for (index, result) in done_rx.iter() {
-                slots[index] = Some(result);
-            }
+        // Workers claim units one at a time from the shared iterator and
+        // keep their results; the lock is never held while a unit runs.
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let finished: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let (queue, make_ctx, work) = (&queue, &make_ctx, &work);
+                    scope.spawn(move || {
+                        let mut ctx = make_ctx(worker);
+                        let mut done = Vec::new();
+                        let mut idle_ns = 0u128;
+                        loop {
+                            let wait = Instant::now();
+                            let claimed = queue.lock().expect("no unit runs under the lock").next();
+                            let Some((index, item)) = claimed else {
+                                break;
+                            };
+                            idle_ns += wait.elapsed().as_nanos();
+                            done.push((index, work(&mut ctx, index, item)));
+                        }
+                        if observe {
+                            record_worker_stats(worker, done.len() as u64, idle_ns as u64);
+                        }
+                        done
+                    })
+                })
+                .collect();
+            // A panicking unit reaches the caller with its own payload.
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect()
         });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every unit produced a result"))
-            .collect()
+        let mut done: Vec<(usize, R)> = finished.into_iter().flatten().collect();
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -215,30 +202,31 @@ impl Executor {
             feed.finish(observe);
             return out;
         }
-        let (work_tx, work_rx) = channel::unbounded::<(usize, T)>();
-        let (done_tx, done_rx) = channel::unbounded::<(usize, std::thread::Result<R>)>();
+        let (work_tx, work_rx) = mpsc::channel::<(usize, T)>();
+        // The workers share one receiver. Whoever holds the lock blocks in
+        // `recv` only while the queue is empty, and the caller steals with
+        // `try_lock`, so it never waits on a worker that waits for work.
+        let work_rx = Mutex::new(work_rx);
+        let (done_tx, done_rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
         std::thread::scope(|scope| {
             for worker in 0..spawned {
-                let work_rx = work_rx.clone();
                 let done_tx = done_tx.clone();
-                let make_ctx = &make_ctx;
-                let work = &work;
+                let (work_rx, make_ctx, work) = (&work_rx, &make_ctx, &work);
                 scope.spawn(move || {
                     let mut ctx = make_ctx(worker);
                     let mut units = 0u64;
                     let mut idle_ns = 0u128;
                     loop {
                         let wait = Instant::now();
-                        let Ok((index, item)) = work_rx.recv() else {
+                        let claimed = work_rx.lock().expect("no unit runs under the lock").recv();
+                        let Ok((index, item)) = claimed else {
                             break;
                         };
                         idle_ns += wait.elapsed().as_nanos();
                         // A panicking unit is handed to the caller, which
                         // re-raises it: a lost result must never leave the
                         // caller waiting on it.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            work(&mut ctx, index, item)
-                        }));
+                        let result = catch_unwind(AssertUnwindSafe(|| work(&mut ctx, index, item)));
                         units += 1;
                         if done_tx.send((index, result)).is_err() {
                             break;
@@ -252,7 +240,7 @@ impl Executor {
             drop(done_tx);
             let channels = Channels {
                 work_tx,
-                work_rx,
+                work_rx: &work_rx,
                 done_rx,
             };
             let mut feed = Feed::new(
@@ -271,10 +259,10 @@ impl Executor {
 }
 
 /// The channels between a [`Feed`] and the spawned workers.
-struct Channels<T, R> {
-    work_tx: channel::Sender<(usize, T)>,
-    work_rx: channel::Receiver<(usize, T)>,
-    done_rx: channel::Receiver<(usize, std::thread::Result<R>)>,
+struct Channels<'w, T, R> {
+    work_tx: mpsc::Sender<(usize, T)>,
+    work_rx: &'w Mutex<mpsc::Receiver<(usize, T)>>,
+    done_rx: mpsc::Receiver<(usize, std::thread::Result<R>)>,
 }
 
 /// The caller's end of [`Executor::stream`]: submits units to the pool,
@@ -286,7 +274,7 @@ pub struct Feed<'w, T, R, C> {
     /// The caller's worker index (for utilization stats).
     worker: usize,
     ctx: C,
-    channels: Option<Channels<T, R>>,
+    channels: Option<Channels<'w, T, R>>,
     max_in_flight: usize,
     submitted: usize,
     /// Results of units `delivered..submitted`, in index order; `None`
@@ -302,7 +290,7 @@ impl<'w, T, R, C> Feed<'w, T, R, C> {
         sink: &'w mut dyn FnMut(R),
         worker: usize,
         ctx: C,
-        channels: Option<Channels<T, R>>,
+        channels: Option<Channels<'w, T, R>>,
         max_in_flight: usize,
     ) -> Self {
         Feed {
@@ -331,7 +319,6 @@ impl<'w, T, R, C> Feed<'w, T, R, C> {
         channels
             .work_tx
             .send((index, item))
-            .ok()
             .expect("the feed holds a receiver");
         while self.submitted - self.delivered > self.max_in_flight {
             self.settle();
@@ -362,7 +349,12 @@ impl<'w, T, R, C> Feed<'w, T, R, C> {
         let mut finished: Vec<_> =
             std::iter::from_fn(|| channels.done_rx.try_recv().ok()).collect();
         if finished.is_empty() {
-            if let Ok((index, item)) = channels.work_rx.try_recv() {
+            let stolen = channels
+                .work_rx
+                .try_lock()
+                .ok()
+                .and_then(|queue| queue.try_recv().ok());
+            if let Some((index, item)) = stolen {
                 self.run_inline(index, item);
                 return;
             }
@@ -374,7 +366,7 @@ impl<'w, T, R, C> Feed<'w, T, R, C> {
         for (index, result) in finished {
             match result {
                 Ok(r) => self.complete(index, r),
-                Err(panic) => std::panic::resume_unwind(panic),
+                Err(panic) => resume_unwind(panic),
             }
         }
     }
@@ -393,7 +385,7 @@ impl<'w, T, R, C> Feed<'w, T, R, C> {
 }
 
 /// Records one worker's per-`map` utilization: how many units it
-/// processed and how long it sat blocked on the work queue. Write-only —
+/// processed and how long it waited to claim them. Write-only —
 /// scheduling never reads these back, so the determinism contract holds
 /// with observability at any level.
 fn record_worker_stats(worker: usize, units: u64, idle_ns: u64) {
@@ -542,6 +534,35 @@ mod tests {
             )
         });
         assert!(run.is_err());
+    }
+
+    #[test]
+    fn a_panicking_map_unit_reaches_the_caller() {
+        let run = std::panic::catch_unwind(|| {
+            Executor::new(3).map((0..20).collect(), |i, x: u32| {
+                assert!(i != 7, "unit 7 fails");
+                x
+            })
+        });
+        let panic = run.expect_err("the unit's panic must propagate");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("unit 7 fails"));
+    }
+
+    #[test]
+    fn contended_units_each_run_once_in_input_order() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let n = 10_000;
+        let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let out = Executor::new(8).map((0..n).collect(), |i, x: usize| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            x * 3
+        });
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        assert_eq!(out, (0..n).map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]

@@ -14,7 +14,7 @@ cargo build --release --workspace
 
 # The vendored stand-ins for crates.io packages are not ours to test or
 # lint (vendor/serde carries its own warning).
-VENDORED="--exclude criterion --exclude crossbeam --exclude proptest --exclude rand
+VENDORED="--exclude criterion --exclude proptest --exclude rand
     --exclude serde --exclude serde_derive --exclude serde_json"
 
 echo "== cargo test -q =="
