@@ -17,6 +17,11 @@
 //!   (the daemon demonstrated health on the new host), reported as a
 //!   hosts-evacuated-per-second rate. The deterministic simulated span
 //!   rides along as a row field and is asserted identical across runs.
+//! * `fleet_kernel/storm-step-*` — one quiet 10 ms storm step of the
+//!   `fleet-storm` benchmark's fleet (32 tenants on 8 hosts × 5 SMT
+//!   pairs) under each placement policy: median wall ns per step and
+//!   steps per second. These steps are the benchmark's
+//!   `fleet.quiet_step_pct` share.
 //! * `fleet_kernel/attack-accuracy-*` — the cross-tenant attacker per
 //!   placement policy (now acquired through the batched lane path). The
 //!   acceptance bar: `packed` (co-resident victim) classifies well
@@ -63,6 +68,18 @@ const XT_STREAM: u64 = 0x6c;
 const XT_STREAM_DECOY: u64 = 0x6d;
 /// Evacuations sampled for the hosts-per-second row.
 const EVAC_RUNS: usize = 5;
+/// The `fleet-storm` benchmark's fleet: 8 hosts × 5 SMT pairs, 32
+/// tenants, 10 ms storm steps.
+const STORM_TOPOLOGY: FleetTopology = FleetTopology {
+    hosts: 8,
+    sockets_per_host: 1,
+    pairs_per_socket: 5,
+};
+const STORM_TENANTS: usize = 32;
+const STORM_STEP_NS: u64 = 10_000_000;
+/// Untimed steps before sampling, then timed steps per policy.
+const STORM_WARMUP_STEPS: usize = 10;
+const STORM_STEPS: usize = 150;
 
 fn bench_topology() -> FleetTopology {
     FleetTopology {
@@ -345,6 +362,33 @@ fn bench_xt_recording(c: &mut Criterion, fx: &XtFixture) {
     g.finish();
 }
 
+/// Wall ns of each of `steps` quiet storm steps of the benchmark's
+/// fleet under `policy`, after `warmup` untimed ones.
+fn storm_steps(
+    plan: &DefensePlan,
+    app: &KeystrokeApp,
+    policy: PlacementPolicy,
+    warmup: usize,
+    steps: usize,
+) -> Vec<f64> {
+    let cfg = FleetConfig::new(
+        ServiceConfig::new(quick_cfg()),
+        STORM_TOPOLOGY,
+        policy,
+        STORM_TENANTS,
+    )
+    .seed(1);
+    let mut fleet = FleetSupervisor::deploy(cfg, plan, app).expect("fleet deploys");
+    fleet.run_storm(warmup as u64, STORM_STEP_NS);
+    (0..steps)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            fleet.run_storm(1, STORM_STEP_NS);
+            started.elapsed().as_nanos() as f64
+        })
+        .collect()
+}
+
 fn bench_placement(c: &mut Criterion) {
     let topo = bench_topology();
     let alive = vec![true; topo.hosts];
@@ -387,6 +431,9 @@ fn main() {
             }
         }
         let plan = offline_plan(&app);
+        for policy in PlacementPolicy::ALL {
+            assert_eq!(storm_steps(&plan, &app, policy, 1, 2).len(), 2);
+        }
         let (wall_ns, sim_ns) = evacuate_host(&plan, &app);
         assert!(wall_ns > 0 && sim_ns > 0);
         xt_assert_bit_equal(&xt_fixture(&plan, &app, 8));
@@ -531,6 +578,40 @@ fn main() {
         row.insert(
             "sim_ns".to_string(),
             serde_json::to_value(sims[0]).expect("u64 serializes"),
+        );
+        rows.push(serde_json::Value::Object(row));
+    }
+
+    // Quiet storm steps per policy: the benchmark's fleet.quiet_step_pct
+    // share, measured on its own.
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for policy in PlacementPolicy::ALL {
+        let mut ns = storm_steps(&plan, &app, policy, STORM_WARMUP_STEPS, STORM_STEPS);
+        ns.sort_by(f64::total_cmp);
+        let median_ns = ns[ns.len() / 2];
+        let steps_per_sec = 1e9 / median_ns;
+        let id = format!("fleet_kernel/storm-step-{}", policy.label());
+        println!(
+            "{id}      {:.3} ms/step ({steps_per_sec:.0}/s)",
+            median_ns / 1e6
+        );
+        let mut row = serde_json::Map::new();
+        row.insert("id".to_string(), serde_json::Value::String(id));
+        row.insert(
+            "median_ns".to_string(),
+            serde_json::to_value(median_ns).expect("finite median"),
+        );
+        row.insert(
+            "steps_per_sec".to_string(),
+            serde_json::to_value(steps_per_sec).expect("finite rate"),
+        );
+        row.insert(
+            "available_parallelism".to_string(),
+            serde_json::to_value(parallelism).expect("usize serializes"),
+        );
+        row.insert(
+            "attacks".to_string(),
+            serde_json::Value::String("fleet.quiet_step_pct".to_string()),
         );
         rows.push(serde_json::Value::Object(row));
     }

@@ -38,7 +38,9 @@
 use crate::activity::{ActivityVector, Feature, Origin};
 use crate::arch::MicroArch;
 use crate::cache::DataPageCache;
-use crate::core::{instr_step, irq_activity, mix_step, Core, ExecDraws, LaneCtx, BRANCH_SLOTS};
+use crate::core::{
+    instr_step, irq_activity, mix_scale, mix_step, Core, ExecDraws, LaneCtx, BRANCH_SLOTS,
+};
 use crate::core::{DrawSource, ExecError, InstrOutcome, InterferenceConfig, MixOutcome};
 use crate::events::{EventCatalog, EventId};
 use crate::pmu::{CounterBank, CounterConfig, PmuError, COUNTER_SLOTS};
@@ -665,6 +667,22 @@ impl CoreBatch {
             self.apply(lane, &irq, Origin::Host, false);
         }
         out
+    }
+
+    /// [`CoreBatch::step_mix`] projected onto the lane's cycle count, for
+    /// a lane whose counters and log cannot see the mix (see
+    /// [`Core::tick_mix`]): the same jitter instance and cycles, the
+    /// Poisson instance skipped, no step counted.
+    pub(crate) fn step_mix_cycles(&mut self, lane: usize, rate: &ActivityVector, dur_ns: u64) {
+        let l = &mut self.lanes[lane];
+        let scale = mix_scale(dur_ns as f64 / 1_000.0, &self.interference, &mut l.draws);
+        l.draws.skip_poisson();
+        l.cycles += (rate[Feature::Cycles] * scale) as u64;
+    }
+
+    /// Whether no counter slot is programmed.
+    pub(crate) fn unprogrammed(&self) -> bool {
+        self.slots.iter().all(Option::is_none)
     }
 
     /// Applies `dur_ns` of a rate-based activity mix to a lane (bit-equal

@@ -140,6 +140,7 @@ pub fn rank_events(
         let group = *groups.get(next.checked_div(per_group)?)?;
         let secret = next / reps % n_secrets;
         next += 1;
+        let _sample = aegis_obs::span("profile.sample");
         Some(Probe {
             source: PlanSource::new(app.sample_plan(secret, &mut rng)),
             events: group,
@@ -162,6 +163,7 @@ pub fn rank_events(
         }
         probe += 1;
         if probe % per_group == 0 {
+            let _score = aegis_obs::span("profile.score");
             rankings.extend(score(&catalog, groups[probe / per_group - 1], &rows));
             rows = empty();
         }

@@ -120,6 +120,7 @@ pub fn warmup_profile(
         let group = *groups.get(next / per_group)?;
         let pass = next % per_group;
         next += 1;
+        let _sample = aegis_obs::span("profile.sample");
         if pass == 0 {
             return Some(probe(group, PlanSource::new(idle_plan(cfg.probe_ns))));
         }
@@ -132,6 +133,7 @@ pub fn warmup_profile(
     let mut totals = Vec::with_capacity(groups.len() * per_group);
     record_probes(host, vm, vcpu, probes, |trace| totals.push(trace.totals()))?;
 
+    let score = aegis_obs::span("profile.score");
     let mut vulnerable = Vec::new();
     for (group, totals) in groups.iter().zip(totals.chunks(per_group)) {
         let idle_counts = &totals[0];
@@ -149,6 +151,7 @@ pub fn warmup_profile(
             }
         }
     }
+    drop(score);
     // Leave the VM idle.
     host.attach_app(vm, vcpu, Box::new(PlanSource::new(WorkloadPlan::new())))?;
 

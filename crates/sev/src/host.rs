@@ -911,6 +911,10 @@ impl Host {
     /// with an injector attached, whose watchdog makes the walk depend on
     /// the recorded core's execution.
     ///
+    /// Each probe's walk is an `aegis-obs` span `probe.walk` on the
+    /// calling thread and each lane a span `probe.lane` on whichever
+    /// thread runs it; the loop records a probe inside `probe.walk`.
+    ///
     /// Fault reports match the loop's as well: the walk draws the
     /// recorded core's tick faults and opens its monitors
     /// [`quietly`](aegis_faults::quietly), and each lane reports them as
@@ -943,8 +947,10 @@ impl Host {
             // recorded core's execution.
             for p in probes {
                 self.attach_app(vm, vcpu, Box::new(p.source))?;
+                let walk = aegis_obs::span("probe.walk");
                 let mut traces =
                     self.record_trace(&[core_idx], p.events, filter, p.interval_ns, p.duration_ns)?;
+                drop(walk);
                 sink(traces.pop().expect("one trace per core"));
             }
             return Ok(());
@@ -964,6 +970,7 @@ impl Host {
             // through references would share cache lines with it.
             |_| (CoreBatch::from_core_state(&base, 1), env, tile_core, base.clone()),
             |(batch, env, tile_core, base), _, lane: ProbeLane<'a>| {
+                let _lane = aegis_obs::span("probe.lane");
                 lane.run(env, tile_core, base, batch)
             },
             |lane| {
@@ -999,6 +1006,7 @@ impl Host {
                         fs: self.fault_state[core_idx].clone(),
                         clock_ns: self.clock_ns,
                     });
+                    let _walk = aegis_obs::span("probe.walk");
                     for _ in 0..probe.duration_ns / TICK_NS {
                         self.tick_walking(Some((core_idx, &mut walked)), |_, _| {});
                     }
@@ -1045,14 +1053,16 @@ struct TickEnv {
 /// lane group ([`LaneCore`]), or the probe walk's counter ([`MixCount`]).
 trait TickCore {
     /// Executes `rate` for one tick.
-    fn run_mix(&mut self, rate: &ActivityVector, origin: Origin);
+    fn tick_mix(&mut self, rate: &ActivityVector, origin: Origin);
     /// Latches (or releases) the guest-visible counters fail-closed.
     fn set_fail_closed(&mut self, on: bool);
 }
 
+/// A physical core pays only for its cycle count while nothing else can
+/// observe it ([`Core::tick_mix`]).
 impl TickCore for Core {
-    fn run_mix(&mut self, rate: &ActivityVector, origin: Origin) {
-        Core::run_mix(self, rate, TICK_NS, origin);
+    fn tick_mix(&mut self, rate: &ActivityVector, origin: Origin) {
+        Core::tick_mix(self, rate, TICK_NS, origin);
     }
 
     fn set_fail_closed(&mut self, on: bool) {
@@ -1067,7 +1077,7 @@ struct LaneCore<'a> {
 }
 
 impl TickCore for LaneCore<'_> {
-    fn run_mix(&mut self, rate: &ActivityVector, origin: Origin) {
+    fn tick_mix(&mut self, rate: &ActivityVector, origin: Origin) {
         self.batch.run_mix(self.lane, rate, TICK_NS, origin);
     }
 
@@ -1082,7 +1092,7 @@ impl TickCore for LaneCore<'_> {
 struct MixCount(u64);
 
 impl TickCore for MixCount {
-    fn run_mix(&mut self, _rate: &ActivityVector, _origin: Origin) {
+    fn tick_mix(&mut self, _rate: &ActivityVector, _origin: Origin) {
         self.0 += 1;
     }
 
@@ -1128,7 +1138,7 @@ fn tick_core<C: TickCore>(
     guest: Option<TickGuest<'_>>,
 ) {
     // Host kernel background everywhere.
-    core.run_mix(&env.host_bg, Origin::Host);
+    core.tick_mix(&env.host_bg, Origin::Host);
 
     // Per-tick fault draws (no draws under an inert plan).
     let mut cap = env.cap;
@@ -1216,10 +1226,10 @@ fn tick_core<C: TickCore>(
     let app_exec = app_rate.scaled(app_scale);
 
     if !inj_exec.is_zero() {
-        core.run_mix(&inj_exec, Origin::Guest(vm.0));
+        core.tick_mix(&inj_exec, Origin::Guest(vm.0));
     }
     if !app_exec.is_zero() {
-        core.run_mix(&app_exec, Origin::Guest(vm.0));
+        core.tick_mix(&app_exec, Origin::Guest(vm.0));
     }
 
     let tick_us = TICK_NS as f64 / 1_000.0;

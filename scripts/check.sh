@@ -24,11 +24,13 @@ echo "== cargo test -q =="
 # wide batches vs one-lane Core twins) and
 # crates/microarch/tests/engine_pin.rs (Core and batch sessions vs
 # digests pinned on the engine with a separate scalar counter unit),
-# crates/sev (recording proptests), tests/profiler_probes.rs (probe
-# lanes), crates/perf (one recorder over a core and a lane group),
-# crates/aegis's unit tests (dataset and cross-tenant lanes vs their
-# forks) and crates/aegis/tests/mea_pin.rs (MEA lanes vs digests pinned
-# on the per-unit fork loop).
+# crates/sev (recording proptests), crates/sev/tests/cycles_pin.rs
+# (every core's cycle count through scripted host runs vs digests pinned
+# before host ticks took the cycles-only path for unobserved cores),
+# tests/profiler_probes.rs (probe lanes), crates/perf (one recorder over
+# a core and a lane group), crates/aegis's unit tests (dataset and
+# cross-tenant lanes vs their forks) and crates/aegis/tests/mea_pin.rs
+# (MEA lanes vs digests pinned on the per-unit fork loop).
 cargo test -q
 
 echo "== cargo check --manifest-path benchmark/Cargo.toml =="
@@ -75,6 +77,13 @@ echo "== recording pin (AEGIS_FAULTS=smoke) =="
 # with the smoke plan ambient: the recorder takes only the host's
 # explicit plan, so this proves it reads no ambient plan.
 AEGIS_FAULTS=smoke cargo test -q -p aegis-sev --test recording_pin
+
+echo "== cycles pin (AEGIS_FAULTS=smoke) =="
+# Per-core cycle counts and follow-up recordings of scripted hosts must
+# not move with the smoke plan ambient: host ticks take the cycles-only
+# path only on cores nothing observes, and the hosts carry explicit
+# plans.
+AEGIS_FAULTS=smoke cargo test -q -p aegis-sev --test cycles_pin
 
 echo "== MEA collection pin (AEGIS_FAULTS=smoke) =="
 # Model-extraction runs, recorded as lanes, must match the digests pinned
