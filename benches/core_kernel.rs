@@ -20,11 +20,14 @@
 //! (see [`record_batched`]). `AEGIS_BENCH_SMOKE=1` runs one pass of each
 //! path without sampling.
 
+mod common;
+
 use aegis::fuzzer::{BatchTraceRecorder, RecordedTrace, TraceRecorder};
 use aegis::microarch::{Core, CoreBatch, InterferenceConfig, MicroArch};
 use aegis::par::derive_seed;
 use aegis_isa::{InstrId, IsaCatalog, Vendor, WellKnown};
-use criterion::{black_box, Criterion};
+use common::BenchFile;
+use criterion::{black_box, Criterion, Sampled};
 
 /// Total sessions per measured iteration (divisible by every lane width).
 const SESSIONS: usize = 128;
@@ -199,7 +202,7 @@ fn child_main(id: &str) {
 }
 
 /// Asserts the scalar-reference invariant, then re-execs this binary once
-/// per bench function and merges the children's medians into
+/// per bench function and writes the children's samples to
 /// `BENCH_core.json`.
 fn parent_main() {
     let (catalog, template) = setup();
@@ -219,104 +222,70 @@ fn parent_main() {
         return;
     }
 
-    // `cargo bench -- <substring>` filters like the criterion shim does.
-    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
     let exe = std::env::current_exe().expect("bench binary path");
-    let mut results: Vec<(String, f64)> = Vec::new();
-    let ids: Vec<String> = std::iter::once("scalar".to_string())
-        .chain(LANE_WIDTHS.iter().map(|w| format!("batched-{w}")))
-        .collect();
-    for id in &ids {
-        let full_id = format!("core_kernel/{id}");
-        if let Some(f) = &filter {
-            if !full_id.contains(f.as_str()) {
-                continue;
-            }
+    let filter = common::filter().unwrap_or_default();
+    let mut results = Vec::new();
+    let paths = std::iter::once(("scalar".to_string(), 0))
+        .chain(LANE_WIDTHS.map(|w| (format!("batched-{w}"), w)));
+    for (path, _) in paths.clone() {
+        let id = format!("core_kernel/{path}");
+        if !id.contains(&filter) {
+            continue;
         }
         let out = std::process::Command::new(&exe)
-            .env("AEGIS_BENCH_ONE", id)
+            .env("AEGIS_BENCH_ONE", &path)
             .stderr(std::process::Stdio::inherit())
             .output()
             .expect("spawn bench child");
-        assert!(out.status.success(), "bench child {id} failed");
+        assert!(out.status.success(), "bench child {path} failed");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        for line in stdout.lines().filter(|l| !l.starts_with("AEGIS_NS ")) {
-            println!("{line}");
-        }
-        let median_ns = stdout
-            .lines()
-            .find_map(|l| l.strip_prefix("AEGIS_NS "))
-            .and_then(|rest| rest.split_whitespace().next())
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or_else(|| panic!("bench child {id} reported no result"));
-        results.push((full_id, median_ns));
-    }
-
-    let median_of = |id: &str| {
-        results
+        let (ns, report): (Vec<&str>, Vec<&str>) =
+            stdout.lines().partition(|l| l.starts_with("AEGIS_NS "));
+        println!("{}", report.join("\n"));
+        let ns: Vec<f64> = ns
             .iter()
-            .find(|(rid, _)| rid == id)
-            .map(|&(_, ns)| ns)
-            .unwrap_or(0.0)
-    };
-    let sessions_per_sec = |median_ns: f64| {
-        if median_ns > 0.0 {
-            SESSIONS as f64 / (median_ns * 1e-9)
-        } else {
-            0.0
-        }
-    };
-    let scalar_ns = median_of("core_kernel/scalar");
-    let ok = "bench fields always serialize";
-    let mut rows: Vec<serde_json::Value> = Vec::new();
-    let mut push_row = |id: String, median_ns: f64, speedup: f64| {
-        let mut row = serde_json::Map::new();
-        row.insert("id".to_string(), serde_json::Value::String(id));
-        row.insert(
-            "median_ns".to_string(),
-            serde_json::to_value(median_ns).expect(ok),
-        );
-        row.insert(
-            "sessions_per_sec".to_string(),
-            serde_json::to_value(sessions_per_sec(median_ns)).expect(ok),
-        );
-        row.insert(
-            "speedup_vs_scalar".to_string(),
-            serde_json::to_value(speedup).expect(ok),
-        );
-        rows.push(serde_json::Value::Object(row));
-    };
-    push_row("core_kernel/scalar".to_string(), scalar_ns, 1.0);
-    for width in LANE_WIDTHS {
-        let ns = median_of(&format!("core_kernel/batched-{width}"));
-        let speedup = if ns > 0.0 { scalar_ns / ns } else { 0.0 };
-        // Tiling must hold the full-width rate: widths at or above the
-        // tile size may not fall back into the cache-debt regime.
-        if width >= CoreBatch::TILE_LANES {
-            assert!(
-                speedup >= 6.0,
-                "tiled batching must beat scalar ≥ 6x at width {width} \
-                 (got {speedup:.2}x)"
-            );
-        }
-        push_row(format!("core_kernel/batched-{width}"), ns, speedup);
+            .flat_map(|l| l.split(' ').skip(1))
+            .map(|v| v.parse().expect("child reports ns"))
+            .collect();
+        let [median_ns, min_ns, max_ns] = ns[..] else {
+            panic!("bench child {path} reported no result");
+        };
+        results.push(Sampled {
+            id,
+            median_ns,
+            min_ns,
+            max_ns,
+        });
     }
 
-    let mut out = serde_json::Map::new();
-    out.insert(
-        "workload".to_string(),
-        serde_json::Value::String(format!(
+    let mut out = BenchFile::new(
+        "core_kernel",
+        format!(
             "{SESSIONS} recording sessions of {} windows each \
              (reps {REPS}, R {R}, clflush+load gadget), bit-equal traces \
              asserted before timing",
             2 * REPS + 2 * R
-        )),
+        ),
     );
-    out.insert("rows".to_string(), serde_json::Value::Array(rows));
-    let json = serde_json::to_string_pretty(&serde_json::Value::Object(out))
-        .expect("bench rows always serialize");
-    match std::fs::write("BENCH_core.json", json) {
-        Ok(()) => eprintln!("[wrote BENCH_core.json]"),
-        Err(e) => eprintln!("warning: cannot write BENCH_core.json: {e}"),
+    out.sampled(&results, "", "microarch", Some("fuzzer.run_pct"));
+    let scalar = "core_kernel/scalar";
+    for (path, width) in paths {
+        let id = format!("core_kernel/{path}");
+        out.derive(&id, "sessions_per_sec", "1/s", &[&id], |m| {
+            SESSIONS as f64 / (m[0] * 1e-9)
+        });
+        // Tiling must hold the full-width rate: widths at or above the
+        // tile size may not fall back into the cache-debt regime. A
+        // filtered run derives nothing from paths it skipped.
+        let speedup = out.derive(&id, "speedup_vs_scalar", "x", &[scalar, &id], |m| {
+            m[0] / m[1]
+        });
+        if let Some(speedup) = speedup.filter(|_| width >= CoreBatch::TILE_LANES) {
+            assert!(
+                speedup >= 6.0,
+                "tiled batching must beat scalar ≥ 6x at width {width} (got {speedup:.2}x)"
+            );
+        }
     }
+    out.write("BENCH_core.json");
 }

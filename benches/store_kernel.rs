@@ -15,9 +15,12 @@
 //! `speedup-*-columnar-over-json` rows in `BENCH_store.json` are the
 //! headline numbers; the acceptance bar is ≥ 4× (target ≥ 10×).
 
+mod common;
+
 use aegis::attack::{Dataset, TrainConfig};
 use aegis::par::{set_threads, ArtifactCache, ArtifactKey};
 use aegis::ClassifierAttack;
+use common::BenchFile;
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -159,65 +162,32 @@ fn main() {
     bench_store_loads(&mut criterion);
     set_threads(1);
 
-    // Persist the summary for cross-commit tracking, with the derived
-    // columnar-over-json speedups as their own rows. The ISSUE bar is
-    // ≥ 4× on warm loads; enforce it here so a format regression fails
-    // the bench run loudly instead of silently shipping a slow store.
-    let median = |id: &str| {
-        criterion
-            .results()
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.median_ns)
-    };
-    let mut rows: Vec<serde_json::Value> = criterion
-        .results()
-        .iter()
-        .map(|s| {
-            let mut row = serde_json::Map::new();
-            let ok = "bench fields always serialize";
-            row.insert("id".to_string(), serde_json::to_value(&s.id).expect(ok));
-            row.insert(
-                "median_ns".to_string(),
-                serde_json::to_value(s.median_ns).expect(ok),
-            );
-            row.insert("min_ns".to_string(), serde_json::to_value(s.min_ns).expect(ok));
-            row.insert("max_ns".to_string(), serde_json::to_value(s.max_ns).expect(ok));
-            serde_json::Value::Object(row)
-        })
-        .collect();
-    for (label, col_id, json_id) in [
-        (
-            "dataset",
-            "store_kernel/dataset-load-columnar",
-            "store_kernel/dataset-load-json",
-        ),
-        (
-            "model",
-            "store_kernel/model-load-columnar",
-            "store_kernel/model-load-json",
-        ),
-    ] {
-        if let (Some(col), Some(json)) = (median(col_id), median(json_id)) {
-            let speedup = json / col;
-            let id = format!("store_kernel/speedup-{label}-columnar-over-json");
-            println!("{id}      {speedup:.2}x");
+    // The derived columnar-over-json speedups are the headline rows. The
+    // bar is ≥ 4× on warm loads; enforce it here so a format regression
+    // fails the bench run loudly instead of silently shipping a slow
+    // store.
+    let mut out = BenchFile::new(
+        "store_kernel",
+        "warm loads of a 400 x 128 dataset and a model trained on it, columnar .acs vs JSON",
+    );
+    out.sampled(criterion.results(), "store_kernel/", "store", None);
+    for label in ["dataset", "model"] {
+        let speedup = out.derive(
+            format!("store_kernel/speedup-{label}-columnar-over-json"),
+            "speedup",
+            "x",
+            &[
+                format!("store_kernel/{label}-load-json"),
+                format!("store_kernel/{label}-load-columnar"),
+            ],
+            |m| m[0] / m[1],
+        );
+        if let Some(speedup) = speedup {
             assert!(
                 speedup >= 4.0,
                 "{label}: columnar load must be ≥4x faster than JSON, got {speedup:.2}x"
             );
-            let mut row = serde_json::Map::new();
-            row.insert("id".to_string(), serde_json::Value::String(id));
-            row.insert(
-                "speedup".to_string(),
-                serde_json::to_value(speedup).expect("finite ratio"),
-            );
-            rows.push(serde_json::Value::Object(row));
         }
     }
-    let json = serde_json::to_string_pretty(&rows).expect("bench rows always serialize");
-    match std::fs::write("BENCH_store.json", json) {
-        Ok(()) => eprintln!("[wrote BENCH_store.json]"),
-        Err(e) => eprintln!("warning: cannot write BENCH_store.json: {e}"),
-    }
+    out.write("BENCH_store.json");
 }

@@ -15,7 +15,8 @@
 //!    the experiment harness derives its Table III step timings this way
 //!    instead of keeping ad-hoc timers.
 //! 3. **A JSONL event sink** ([`event`]): append-only run logs under
-//!    `results/obs/run-<id>.jsonl`, one JSON object per line, written
+//!    `<workspace root>/results/obs/run-<id>.jsonl` (see
+//!    [`workspace_root_from`]), one JSON object per line, written
 //!    whole-line under a lock so concurrent workers never interleave.
 //!
 //! ## Levels
@@ -43,7 +44,7 @@ mod span;
 mod summary;
 
 pub use metrics::{global, Histogram, HistogramSnapshot, Registry, Snapshot};
-pub use sink::{current_run_log, event, event_with, flush};
+pub use sink::{current_run_log, event, event_with, flush, workspace_root_from};
 pub use span::{span, SpanGuard};
 pub use summary::render_summary;
 

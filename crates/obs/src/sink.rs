@@ -4,7 +4,7 @@ use crate::{level, ObsLevel};
 use serde_json::Value;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -17,11 +17,28 @@ struct Sink {
 
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 
-/// The run-log directory: `AEGIS_OBS_DIR`, or `results/obs`.
-fn sink_dir() -> PathBuf {
+/// The topmost ancestor of `start` that contains a `Cargo.toml` — the
+/// workspace root when run from anywhere inside the workspace (a crate
+/// directory's own `Cargo.toml` is shadowed by the workspace's). Falls
+/// back to `start` itself outside any Cargo project.
+pub fn workspace_root_from(start: &Path) -> PathBuf {
+    let mut root = None;
+    for dir in start.ancestors() {
+        if dir.join("Cargo.toml").is_file() {
+            root = Some(dir);
+        }
+    }
+    root.unwrap_or(start).to_path_buf()
+}
+
+/// The run-log directory: `AEGIS_OBS_DIR`, or `results/obs` under the
+/// workspace root of `cwd`, where the artifact cache anchors too — a
+/// per-crate test run (cwd = the crate directory) logs to the same
+/// place as a run from the root.
+fn sink_dir(cwd: &Path) -> PathBuf {
     std::env::var_os("AEGIS_OBS_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results").join("obs"))
+        .unwrap_or_else(|| workspace_root_from(cwd).join("results").join("obs"))
 }
 
 /// The run id: `AEGIS_OBS_RUN_ID`, or `<unix-seconds>-<pid>`.
@@ -39,7 +56,7 @@ fn run_id() -> String {
 }
 
 fn open_sink() -> Option<Sink> {
-    let dir = sink_dir();
+    let dir = sink_dir(&std::env::current_dir().unwrap_or_default());
     std::fs::create_dir_all(&dir).ok()?;
     let path = dir.join(format!("run-{}.jsonl", run_id()));
     let file = OpenOptions::new().create(true).append(true).open(&path).ok()?;
@@ -168,6 +185,39 @@ mod tests {
         std::env::remove_var("AEGIS_OBS_DIR");
         std::env::remove_var("AEGIS_OBS_RUN_ID");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn workspace_root_is_the_topmost_cargo_ancestor() {
+        let base = std::env::temp_dir().join(format!("aegis-obs-root-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let ws = base.join("ws");
+        let krate = ws.join("crates").join("leaf");
+        std::fs::create_dir_all(&krate).unwrap();
+        std::fs::write(ws.join("Cargo.toml"), "[workspace]\n").unwrap();
+        std::fs::write(krate.join("Cargo.toml"), "[package]\n").unwrap();
+
+        assert_eq!(workspace_root_from(&krate), ws);
+        assert_eq!(workspace_root_from(&ws), ws);
+        // Outside any Cargo project the start directory is its own root.
+        assert_eq!(workspace_root_from(&base), base);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn default_log_dir_anchors_on_the_workspace_root() {
+        let _guard = guard();
+        std::env::remove_var("AEGIS_OBS_DIR");
+        // This crate sits at `<workspace root>/crates/obs`.
+        let krate = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = krate.parent().and_then(Path::parent).unwrap();
+        assert!(root.join("Cargo.toml").is_file());
+        let logs = root.join("results").join("obs");
+        assert_eq!(sink_dir(krate), logs);
+        assert_eq!(sink_dir(root), logs);
+        std::env::set_var("AEGIS_OBS_DIR", "/tmp/aegis-obs-override");
+        assert_eq!(sink_dir(krate), PathBuf::from("/tmp/aegis-obs-override"));
+        std::env::remove_var("AEGIS_OBS_DIR");
     }
 
     #[test]

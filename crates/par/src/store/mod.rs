@@ -28,8 +28,9 @@ pub use columnar::{
 pub use manifest::{GcReport, Manifest};
 
 use crate::cache::fingerprint;
+use aegis_obs::workspace_root_from;
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A content address: artifact kind plus the fingerprint of everything
 /// that determines the artifact's bytes (producer schema + inputs).
@@ -64,22 +65,9 @@ impl ArtifactKey {
     }
 }
 
-/// The topmost ancestor of `start` that contains a `Cargo.toml` — the
-/// workspace root when run from anywhere inside the workspace (a crate
-/// directory's own `Cargo.toml` is shadowed by the workspace's). Falls
-/// back to `start` itself outside any Cargo project.
-pub fn workspace_root_from(start: &Path) -> PathBuf {
-    let mut root = None;
-    for dir in start.ancestors() {
-        if dir.join("Cargo.toml").is_file() {
-            root = Some(dir);
-        }
-    }
-    root.unwrap_or(start).to_path_buf()
-}
-
 /// The default cache directory: `AEGIS_CACHE_DIR` when set, otherwise
-/// `<workspace root>/results/cache`. Anchoring on the workspace root —
+/// `<workspace root>/results/cache` (see
+/// [`aegis_obs::workspace_root_from`]). Anchoring on the workspace root —
 /// not the bare relative path `results/cache` — keeps per-crate test
 /// runs (whose cwd is the crate directory) from sprinkling stray
 /// `results/` trees over the source checkout.
@@ -103,25 +91,5 @@ mod tests {
         assert_ne!(a.key, b.key, "same inputs, different kinds");
         assert_ne!(a.key, c.key, "same kind, different inputs");
         assert_eq!(a, ArtifactKey::of("clean-dataset", &(7u64, "wfa")));
-    }
-
-    #[test]
-    fn workspace_root_is_the_topmost_cargo_ancestor() {
-        let base = std::env::temp_dir().join(format!(
-            "aegis-par-root-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&base);
-        let ws = base.join("ws");
-        let krate = ws.join("crates").join("leaf");
-        std::fs::create_dir_all(&krate).unwrap();
-        std::fs::write(ws.join("Cargo.toml"), "[workspace]\n").unwrap();
-        std::fs::write(krate.join("Cargo.toml"), "[package]\n").unwrap();
-
-        assert_eq!(workspace_root_from(&krate), ws);
-        assert_eq!(workspace_root_from(&ws), ws);
-        // Outside any Cargo project the start directory is its own root.
-        assert_eq!(workspace_root_from(&base), base);
-        let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -126,17 +126,19 @@ cargo clippy --examples -- -D deprecated
 echo "== bench smoke (AEGIS_BENCH_SMOKE=1) =="
 # One iteration per bench workload, no criterion sampling: proves every
 # bench harness still compiles and runs end to end without burning
-# minutes. Does not rewrite the checked-in BENCH_*.json numbers. The
-# canonical bench list is the [[bench]] section of the root Cargo.toml;
-# --benches runs all of it.
+# minutes. Each bench returns before its writer runs, so the checked-in
+# BENCH_*.json numbers are not rewritten. The canonical bench list is
+# the [[bench]] section of the root Cargo.toml; --benches runs all of it.
 AEGIS_BENCH_SMOKE=1 cargo bench -p aegis-suite --benches
 
 echo "== bench baseline diff =="
-# The smoke pass above never rewrites BENCH_*.json, so this compares
+# Fails if any BENCH_*.json in the working tree is out of the one row
+# shape benches/common/mod.rs writes or repeats an (id, metric) pair.
+# The smoke pass above never rewrites the files, so the comparison is of
 # whatever numbers the working tree carries (freshly regenerated or
-# untouched) against the committed baselines and fails on any gated
-# throughput/speedup metric regressing more than 20%. Raw *_ns medians
-# are informational only; see scripts/bench_diff.sh.
+# untouched) against the committed baselines: every row whose unit is
+# not ns fails when it moves more than 20% against its `better`
+# direction. Raw ns rows are not compared; see scripts/bench_diff.sh.
 ./scripts/bench_diff.sh
 
 echo "check.sh: all green"
