@@ -71,8 +71,7 @@ fn store_bed(tag: &str, n: usize, dim: usize) -> StoreBed {
         9,
     );
 
-    // Distinct keys per format so the columnar hit never shadows the
-    // JSON entry (get_col_or_json would otherwise migrate it away).
+    // One key per format, so each read serves only its own file.
     let ds_col = ArtifactKey::raw("bench-dataset-col", 1);
     let ds_json = ArtifactKey::raw("bench-dataset-json", 2);
     let model_col = ArtifactKey::raw("bench-model-col", 3);

@@ -19,9 +19,9 @@ use aegis::microarch::MicroArch;
 use aegis::obfuscator::{GadgetStack, ObfuscatorConfig};
 use aegis::par::{set_threads, ArtifactCache};
 use aegis::sev::{Host, SevMode, VmId};
-use aegis::sweep::{classification_sweep, SweepConfig, SweepOutcome};
+use aegis::sweep::{SweepConfig, SweepOutcome};
 use aegis::workloads::KeystrokeApp;
-use aegis::{CollectConfig, DefenseDeployment, MechanismChoice};
+use aegis::{ClassifierAttack, CollectConfig, DefenseDeployment, MechanismChoice};
 use aegis_isa::{IsaCatalog, Vendor, WellKnown};
 use common::BenchFile;
 use criterion::{black_box, Criterion};
@@ -149,15 +149,14 @@ fn sweep_bed() -> SweepBed {
             seed: 11,
             host_seed: 3,
             train: TrainConfig::default(),
-            victim_traces_per_secret: 3,
-            robust_traces_per_secret: 3,
-            victim_runs_per_model: 1,
+            victim_per_secret: 3,
+            robust_per_secret: 3,
         },
     }
 }
 
 fn run_sweep(bed: &SweepBed, cache: &ArtifactCache) -> SweepOutcome {
-    classification_sweep(
+    aegis::sweep::run_sweep::<ClassifierAttack>(
         &bed.host,
         bed.vm,
         0,
@@ -218,8 +217,8 @@ fn main() {
 
         let mut bed = sweep_bed();
         bed.cfg.eps_grid = vec![0.25];
-        bed.cfg.victim_traces_per_secret = 2;
-        bed.cfg.robust_traces_per_secret = 2;
+        bed.cfg.victim_per_secret = 2;
+        bed.cfg.robust_per_secret = 2;
         let dir =
             std::env::temp_dir().join(format!("aegis-train-smoke-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -217,7 +217,7 @@ fn collect_lane(
     }
 }
 
-pub(crate) fn dataset_impl(
+fn dataset_impl(
     host: &Host,
     vm: VmId,
     vcpu: usize,
@@ -292,8 +292,7 @@ pub(crate) fn dataset_impl(
 /// CNN; see `aegis_attack::GaussianNb` for why) plus the feature
 /// standardizer fitted on its training data.
 ///
-/// Serializable so trained models can be memoized through
-/// [`ArtifactCache`] (see [`ClassifierAttack::train_cached`]).
+/// Memoized through [`ArtifactCache`] by [`Attacker::train_cached`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClassifierAttack {
     model: GaussianNb,
@@ -314,7 +313,13 @@ impl ClassifierAttack {
     /// Panics if `dataset` is empty.
     pub fn train(dataset: &Dataset, train_cfg: TrainConfig, seed: u64) -> Self {
         let _span = obs::span("attack.train");
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xa77a_c4e0);
+        Self::fit_split(dataset, train_cfg, seed ^ 0xa77a_c4e0)
+    }
+
+    /// The 70/30 split drawn from `split_seed`, a standardizer fitted on
+    /// the training part, and the model refit along the curve.
+    fn fit_split(dataset: &Dataset, train_cfg: TrainConfig, split_seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(split_seed);
         let (mut train, mut val) = dataset.split(0.7, &mut rng);
         let standardizer = Standardizer::fit(&train.samples);
         standardizer.apply_dataset(&mut train);
@@ -325,27 +330,6 @@ impl ClassifierAttack {
             standardizer,
             curve,
         }
-    }
-
-    /// Like [`ClassifierAttack::train`], but memoized through `cache`:
-    /// training is a pure function of `(dataset, train_cfg, seed)`, so
-    /// the trained model is stored under a fingerprint of exactly those
-    /// inputs, in the columnar `.acs` format — a warm hit is one bulk
-    /// read of little-endian pages, bit-identical to retraining. A
-    /// legacy JSON entry under the same key is migrated transparently.
-    pub fn train_cached(
-        dataset: &Dataset,
-        train_cfg: TrainConfig,
-        seed: u64,
-        cache: &ArtifactCache,
-    ) -> Self {
-        let key = ArtifactKey::raw("attack-model", fingerprint(&(dataset, &train_cfg, seed)));
-        if let Some(model) = cache.get_col_or_json::<ClassifierAttack>(&key) {
-            return model;
-        }
-        let trained = Self::train(dataset, train_cfg, seed);
-        let _ = cache.put_col(&key, &trained);
-        trained
     }
 
     /// Accuracy on new traces (the online exploitation phase).
@@ -381,7 +365,7 @@ impl Columnar for ClassifierAttack {
 
 /// One monitored inference run for the model extraction attack: per-slice
 /// features and the ground-truth layer sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MeaRun {
     /// Per-slice feature vectors.
     pub slices: Vec<Vec<f64>>,
@@ -513,15 +497,10 @@ impl Columnar for MeaRunLog {
     }
 }
 
+/// The model-key fingerprint of a run log is that of its runs.
 impl Serialize for MeaRunLog {
     fn to_value(&self) -> serde::Value {
         self.0.to_value()
-    }
-}
-
-impl Deserialize for MeaRunLog {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(MeaRunLog(Deserialize::from_value(v)?))
     }
 }
 
@@ -559,7 +538,7 @@ impl Default for MeaConfig {
 /// vCPU's core, its window the length of its padded inference, with
 /// per-unit derived seeds; units shard across the configured worker pool
 /// and the output is independent of the worker count.
-pub(crate) fn mea_runs_impl(
+fn mea_runs_impl(
     host: &Host,
     vm: VmId,
     vcpu: usize,
@@ -664,12 +643,11 @@ pub(crate) fn mea_runs_impl(
 /// The sequence-extraction attacker: a per-slice layer classifier with
 /// CTC-style greedy decoding (the reproduction's stand-in for the paper's
 /// GRU + CTC model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeaAttack {
-    model: GaussianNb,
-    standardizer: Standardizer,
-    /// Training curve of the slice classifier.
-    pub curve: TrainingCurve,
+    /// The slice classifier: [`BLANK`]` + 1` classes over per-slice
+    /// features, with its training curve.
+    pub slices: ClassifierAttack,
 }
 
 impl MeaAttack {
@@ -689,36 +667,9 @@ impl MeaAttack {
             }
         }
         assert!(!ds.is_empty(), "no slices to train on");
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5e0a_11ce);
-        let (mut train, mut val) = ds.split(0.7, &mut rng);
-        let standardizer = Standardizer::fit(&train.samples);
-        standardizer.apply_dataset(&mut train);
-        standardizer.apply_dataset(&mut val);
-        let (model, curve) = fit_with_curve(&train, &val, train_cfg.epochs.max(1));
         MeaAttack {
-            model,
-            standardizer,
-            curve,
+            slices: ClassifierAttack::fit_split(&ds, train_cfg, seed ^ 0x5e0a_11ce),
         }
-    }
-
-    /// Like [`MeaAttack::train`], but memoized through `cache` under a
-    /// fingerprint of `(runs, train_cfg, seed)` — the complete set of
-    /// training inputs — in the columnar `.acs` format. A legacy JSON
-    /// entry under the same key is migrated transparently.
-    pub fn train_cached(
-        runs: &[(usize, MeaRun)],
-        train_cfg: TrainConfig,
-        seed: u64,
-        cache: &ArtifactCache,
-    ) -> Self {
-        let key = ArtifactKey::raw("mea-model", fingerprint(&(runs, &train_cfg, seed)));
-        if let Some(model) = cache.get_col_or_json::<MeaAttack>(&key) {
-            return model;
-        }
-        let trained = Self::train(runs, train_cfg, seed);
-        let _ = cache.put_col(&key, &trained);
-        trained
     }
 
     /// Extracts the layer sequence of one run: per-slice prediction, a
@@ -732,8 +683,8 @@ impl MeaAttack {
             .iter()
             .map(|f| {
                 let mut x = f.clone();
-                self.standardizer.apply(&mut x);
-                self.model.predict(&x)
+                self.slices.standardizer.apply(&mut x);
+                self.slices.model.predict(&x)
             })
             .collect();
         let n = raw.len();
@@ -779,25 +730,225 @@ impl MeaAttack {
     }
 }
 
-/// Columnar layout: member frames in field order, exactly like
-/// [`ClassifierAttack`].
+/// Columnar layout: the slice classifier's frames under the MEA schema.
 impl Columnar for MeaAttack {
     fn schema() -> ColumnSchema {
         ColumnSchema::new("aegis/mea-attack", 1)
     }
 
     fn encode_columns(&self, frame: &mut ColumnFrame) {
-        self.model.encode_columns(frame);
-        self.standardizer.encode_columns(frame);
-        self.curve.encode_columns(frame);
+        self.slices.encode_columns(frame);
     }
 
     fn decode_columns(reader: &mut FrameReader) -> Result<Self, FrameError> {
         Ok(MeaAttack {
-            model: GaussianNb::decode_columns(reader)?,
-            standardizer: Standardizer::decode_columns(reader)?,
-            curve: TrainingCurve::decode_columns(reader)?,
+            slices: ClassifierAttack::decode_columns(reader)?,
         })
+    }
+}
+
+/// An attacker as the ε-sweep, the figure drivers and the artifact
+/// cache see it: what it collects, from what target, how it trains and
+/// how it scores. [`ClassifierAttack`] (WFA/KSA) collects a [`Dataset`]
+/// of traces from any [`SecretApp`]; [`MeaAttack`] collects a
+/// [`MeaRunLog`] of inference runs from a [`DnnZoo`]. Every memoized
+/// artifact of an attacker is keyed by [`Attacker::data_key`] or
+/// [`Attacker::model_key`].
+pub trait Attacker: Columnar + Sync + Sized {
+    /// The workload under attack.
+    type Target: ?Sized + Sync;
+    /// Collection settings.
+    type Collect: Copy + Serialize + Sync;
+    /// One collection, as cached, trained on and scored.
+    type Data: Columnar + Serialize;
+
+    /// Cache kind of a clean collection.
+    const CLEAN_KIND: &'static str;
+    /// Cache kind of a defended collection.
+    const NOISY_KIND: &'static str;
+    /// Cache kind of a trained model.
+    const MODEL_KIND: &'static str;
+    /// Tag of this attacker's sweep checkpoints.
+    const SWEEP: &'static str;
+
+    /// The target as an app: its name and secret count key the cache.
+    fn app(target: &Self::Target) -> &dyn SecretApp;
+
+    /// `collect` with `per_secret` traces (MEA: runs) per secret and
+    /// base seed `seed`.
+    fn configure(collect: &Self::Collect, per_secret: usize, seed: u64) -> Self::Collect;
+
+    /// Collects from `host` as it stands (see [`Collector`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Collector::dataset`].
+    fn collect(
+        host: &Host,
+        vm: VmId,
+        vcpu: usize,
+        target: &Self::Target,
+        events: &[EventId],
+        collect: &Self::Collect,
+        defense: Option<&DefenseDeployment>,
+    ) -> Result<Self::Data, AegisError>;
+
+    /// Trains on `data` (the inherent `train`).
+    fn fit(data: &Self::Data, train: TrainConfig, seed: u64) -> Self;
+
+    /// Attack accuracy on victim data.
+    fn score(&self, data: &Self::Data) -> f64;
+
+    /// The training curve.
+    fn curve(&self) -> &TrainingCurve;
+
+    /// Cache key of one collection: the complete set of inputs it is a
+    /// pure function of — substrate (host seed), target, event list,
+    /// collection settings (seed included) and, for a defended one, the
+    /// full deployment.
+    fn data_key(
+        host_seed: u64,
+        target: &Self::Target,
+        events: &[EventId],
+        collect: &Self::Collect,
+        defense: Option<&DefenseDeployment>,
+    ) -> ArtifactKey {
+        let app = Self::app(target);
+        let (name, n) = (app.name().to_string(), app.n_secrets() as u64);
+        match defense {
+            None => ArtifactKey::raw(
+                Self::CLEAN_KIND,
+                fingerprint(&(host_seed, name, n, events.to_vec(), *collect)),
+            ),
+            Some(d) => ArtifactKey::raw(
+                Self::NOISY_KIND,
+                fingerprint(&(
+                    host_seed,
+                    name,
+                    n,
+                    events.to_vec(),
+                    *collect,
+                    &d.stack,
+                    &d.mechanism,
+                    &d.obfuscator,
+                )),
+            ),
+        }
+    }
+
+    /// Cache key of a trained model: training is a pure function of
+    /// `(data, train, seed)`.
+    fn model_key(data: &Self::Data, train: &TrainConfig, seed: u64) -> ArtifactKey {
+        ArtifactKey::raw(Self::MODEL_KIND, fingerprint(&(data, train, seed)))
+    }
+
+    /// [`Attacker::fit`] memoized through `cache` under
+    /// [`Attacker::model_key`], in the columnar `.acs` format: a warm hit
+    /// is one bulk read, bit-identical to retraining.
+    fn train_cached(
+        data: &Self::Data,
+        train: TrainConfig,
+        seed: u64,
+        cache: &ArtifactCache,
+    ) -> Self {
+        let key = Self::model_key(data, &train, seed);
+        cache.get_col(&key).unwrap_or_else(|| {
+            let model = Self::fit(data, train, seed);
+            let _ = cache.put_col(&key, &model);
+            model
+        })
+    }
+}
+
+impl Attacker for ClassifierAttack {
+    type Target = dyn SecretApp;
+    type Collect = CollectConfig;
+    type Data = Dataset;
+    const CLEAN_KIND: &'static str = "clean-dataset";
+    const NOISY_KIND: &'static str = "noisy-dataset";
+    const MODEL_KIND: &'static str = "attack-model";
+    const SWEEP: &'static str = "classification";
+
+    fn app(target: &dyn SecretApp) -> &dyn SecretApp {
+        target
+    }
+
+    fn configure(collect: &CollectConfig, per_secret: usize, seed: u64) -> CollectConfig {
+        CollectConfig {
+            traces_per_secret: per_secret,
+            seed,
+            ..*collect
+        }
+    }
+
+    fn collect(
+        host: &Host,
+        vm: VmId,
+        vcpu: usize,
+        target: &dyn SecretApp,
+        events: &[EventId],
+        collect: &CollectConfig,
+        defense: Option<&DefenseDeployment>,
+    ) -> Result<Dataset, AegisError> {
+        dataset_impl(host, vm, vcpu, target, events, collect, defense)
+    }
+
+    fn fit(data: &Dataset, train: TrainConfig, seed: u64) -> Self {
+        Self::train(data, train, seed)
+    }
+
+    fn score(&self, data: &Dataset) -> f64 {
+        self.accuracy(data)
+    }
+
+    fn curve(&self) -> &TrainingCurve {
+        &self.curve
+    }
+}
+
+impl Attacker for MeaAttack {
+    type Target = DnnZoo;
+    type Collect = MeaConfig;
+    type Data = MeaRunLog;
+    const CLEAN_KIND: &'static str = "clean-mea-runs";
+    const NOISY_KIND: &'static str = "noisy-mea-runs";
+    const MODEL_KIND: &'static str = "mea-model";
+    const SWEEP: &'static str = "mea";
+
+    fn app(target: &DnnZoo) -> &dyn SecretApp {
+        target
+    }
+
+    fn configure(collect: &MeaConfig, per_secret: usize, seed: u64) -> MeaConfig {
+        MeaConfig {
+            runs_per_model: per_secret,
+            seed,
+            ..*collect
+        }
+    }
+
+    fn collect(
+        host: &Host,
+        vm: VmId,
+        vcpu: usize,
+        target: &DnnZoo,
+        events: &[EventId],
+        collect: &MeaConfig,
+        defense: Option<&DefenseDeployment>,
+    ) -> Result<MeaRunLog, AegisError> {
+        mea_runs_impl(host, vm, vcpu, target, events, collect, defense).map(MeaRunLog)
+    }
+
+    fn fit(data: &MeaRunLog, train: TrainConfig, seed: u64) -> Self {
+        Self::train(&data.0, train, seed)
+    }
+
+    fn score(&self, data: &MeaRunLog) -> f64 {
+        self.sequence_accuracy(&data.0)
+    }
+
+    fn curve(&self) -> &TrainingCurve {
+        &self.slices.curve
     }
 }
 
@@ -1065,9 +1216,7 @@ mod tests {
 
         // The MEA composite shares the layout.
         let mea = MeaAttack {
-            model: attack.model.clone(),
-            standardizer: attack.standardizer.clone(),
-            curve: attack.curve.clone(),
+            slices: attack.clone(),
         };
         let mea_back = MeaAttack::from_frame(mea.to_frame()).unwrap();
         assert_eq!(mea, mea_back);

@@ -58,8 +58,8 @@ pub mod sweep;
 
 pub use error::AegisError;
 pub use evaluate::{
-    measure_app_run, ClassifierAttack, CollectConfig, Collector, MeaAttack, MeaConfig, MeaRun,
-    MeaRunLog, RunMeasurement, BLANK,
+    measure_app_run, Attacker, ClassifierAttack, CollectConfig, Collector, MeaAttack, MeaConfig,
+    MeaRun, MeaRunLog, RunMeasurement, BLANK,
 };
 pub use fleet::{
     cross_tenant_accuracy, fleet_sweep, policy_attack_table, storm_schedule, CrossTenantConfig,

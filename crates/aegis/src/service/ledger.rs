@@ -81,11 +81,11 @@ impl EpsilonLedger {
             return ledger;
         };
         let key = fingerprint(&(LEDGER_KIND, scope));
-        // Read the raw file rather than `cache.get`, which deliberately
+        // Read the raw file rather than `cache.get_json`, which deliberately
         // flattens corrupt artifacts into misses — for the ledger,
         // corrupt and absent are opposite outcomes (fail-closed vs
         // fresh).
-        let path = cache.path_for(LEDGER_KIND, key);
+        let path = cache.json_path(&ArtifactKey::raw(LEDGER_KIND, key));
         match std::fs::read_to_string(&path) {
             Err(_) => {} // absent: a fresh ledger
             Ok(text) => match serde_json::from_str::<LedgerRecord>(&text) {
@@ -199,7 +199,9 @@ impl EpsilonLedger {
             .as_mut()
             .is_some_and(|s| s.chance(store.faults.ledger_corrupt));
         if torn {
-            let path = store.cache.path_for(LEDGER_KIND, store.key);
+            let path = store
+                .cache
+                .json_path(&ArtifactKey::raw(LEDGER_KIND, store.key));
             if let Some(dir) = path.parent() {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| AegisError::io(format!("creating {}", dir.display()), e))?;
@@ -223,7 +225,7 @@ impl EpsilonLedger {
         } else {
             store
                 .cache
-                .put(LEDGER_KIND, store.key, &record)
+                .put_json(&ArtifactKey::raw(LEDGER_KIND, store.key), &record)
                 .map_err(|e| AegisError::io("persisting ε-ledger record", e))?;
         }
         if !store.pinned {
@@ -539,7 +541,7 @@ mod tests {
         let key = fingerprint(&(LEDGER_KIND, "prod"));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
-            cache.path_for(LEDGER_KIND, key),
+            cache.json_path(&ArtifactKey::raw(LEDGER_KIND, key)),
             r#"{"schema_version": 99, "accounts": []}"#,
         )
         .unwrap();

@@ -1,7 +1,9 @@
 //! The cached ε-sweep grid behind the paper's defense-effectiveness
 //! figures (Fig. 9a/b): attack accuracy as a function of the privacy
 //! budget ε for both mechanisms (Laplace and d*), for the clean-trained
-//! and the robust (noisy-trained) attacker.
+//! and the robust (noisy-trained) attacker. One generic path,
+//! [`run_sweep`], serves every [`Attacker`]: the classifier (WFA/KSA)
+//! and the model-extraction (MEA) rows run the same cell loop.
 //!
 //! The grid is flattened into independent (ε, mechanism) *cells*. Each
 //! cell is a deterministic task:
@@ -10,9 +12,9 @@
 //!   index)` via [`derive_seed`] — never from the grid position or the
 //!   worker that happens to run it, so the grid is bit-identical at any
 //!   worker count;
-//! * its expensive artifacts — collected noisy datasets / MEA runs and
-//!   trained models — are memoized through [`ArtifactCache`] under a
-//!   content-addressed [`ArtifactKey`] of their complete inputs, in the
+//! * its expensive artifacts — collected defended data and trained
+//!   models — are memoized through [`ArtifactCache`] under the
+//!   attacker's [`Attacker::data_key`] / [`Attacker::model_key`], in the
 //!   columnar `.acs` format whose pages are bit-exact images of the
 //!   in-memory `f64`/`u64` buffers — a warm-cache run is bit-identical
 //!   to a cold one and loads each artifact as a handful of bulk reads;
@@ -25,14 +27,11 @@
 //!   `collect.mea` / `attack.train` spans and a `sweep.eval` span
 //!   splitting collect vs train vs eval time per cell.
 //!
-//! Model artifacts share their key recipe with
-//! [`ClassifierAttack::train_cached`] / [`MeaAttack::train_cached`], so
-//! a sweep and a direct call hit the same cache entries.
+//! Model artifacts share their key with [`Attacker::train_cached`], so a
+//! sweep and a direct call hit the same cache entries.
 
 use crate::error::AegisError;
-use crate::evaluate::{
-    dataset_impl, mea_runs_impl, ClassifierAttack, CollectConfig, MeaAttack, MeaConfig, MeaRunLog,
-};
+use crate::evaluate::Attacker;
 use crate::pipeline::{DefenseDeployment, MechanismChoice};
 use aegis_attack::TrainConfig;
 use aegis_microarch::EventId;
@@ -42,7 +41,6 @@ use aegis_par::{
     ColumnSchema, Columnar, Executor, FrameError, FrameReader, RowLog,
 };
 use aegis_sev::{Host, VmId};
-use aegis_workloads::{DnnZoo, SecretApp};
 
 /// Stream tags separating the independent RNG consumers of one sweep
 /// seed (see [`derive_seed`]). Disjoint from the collection streams in
@@ -75,13 +73,11 @@ pub struct SweepConfig {
     pub host_seed: u64,
     /// Attacker training settings (also part of the model cache keys).
     pub train: TrainConfig,
-    /// Defended victim (test) traces per secret.
-    pub victim_traces_per_secret: usize,
-    /// Noisy training traces per secret for the robust attacker
-    /// (ignored when a clean attacker is supplied).
-    pub robust_traces_per_secret: usize,
-    /// Defended victim runs per model for the MEA sweep.
-    pub victim_runs_per_model: usize,
+    /// Defended victim (test) traces — MEA: runs — per secret.
+    pub victim_per_secret: usize,
+    /// Defended training traces (runs) per secret for the robust
+    /// attacker (ignored when a clean attacker is supplied).
+    pub robust_per_secret: usize,
 }
 
 /// One evaluated (ε, mechanism) grid cell.
@@ -127,20 +123,14 @@ struct CellStats {
 }
 
 /// Memoizes `compute` under a content-addressed key in the columnar
-/// store, counting the hit or miss. A legacy JSON entry under the same
-/// key (from a pre-columnar cache) is migrated transparently on first
-/// read.
-fn cached_col<T, F>(
+/// store, counting the hit or miss.
+fn cached<T: Columnar>(
     cache: &ArtifactCache,
     key: &ArtifactKey,
     stats: &mut CellStats,
-    compute: F,
-) -> Result<T, AegisError>
-where
-    T: Columnar + serde::Deserialize,
-    F: FnOnce() -> Result<T, AegisError>,
-{
-    if let Some(hit) = cache.get_col_or_json::<T>(key) {
+    compute: impl FnOnce() -> Result<T, AegisError>,
+) -> Result<T, AegisError> {
+    if let Some(hit) = cache.get_col::<T>(key) {
         stats.hits += 1;
         return Ok(hit);
     }
@@ -208,16 +198,24 @@ impl Columnar for CellLog {
 
 /// A stable fingerprint of the sweep-wide settings, folded into the
 /// checkpoint key so a changed grid or budget never resumes a stale
-/// checkpoint.
-fn sweep_fingerprint(cfg: &SweepConfig) -> u64 {
+/// checkpoint. The two counts sit where the per-attack count fields they
+/// replaced sat (victim traces, robust traces, victim MEA runs), so the
+/// figure drivers' checkpoint keys did not move.
+fn sweep_fingerprint<A: Attacker>(cfg: &SweepConfig) -> u64 {
+    let victim = cfg.victim_per_secret as u64;
+    let (traces, runs) = if A::SWEEP == "mea" {
+        (0, victim)
+    } else {
+        (victim, 0)
+    };
     fingerprint(&(
         &cfg.eps_grid,
         cfg.seed,
         cfg.host_seed,
         &cfg.train,
-        cfg.victim_traces_per_secret as u64,
-        cfg.robust_traces_per_secret as u64,
-        cfg.victim_runs_per_model as u64,
+        traces,
+        cfg.robust_per_secret as u64,
+        runs,
     ))
 }
 
@@ -259,17 +257,17 @@ fn assemble(units: Vec<(f64, usize)>, results: Vec<(f64, CellStats)>) -> SweepOu
     out
 }
 
-/// Runs the classification sweep (WFA/KSA rows of Fig. 9a/b): for every
-/// (ε, mechanism) cell, collect defended victim traces and score the
-/// attacker on them.
+/// Runs one attacker's sweep (a row group of Fig. 9a/b): for every
+/// (ε, mechanism) cell, collect defended victim data from `target` and
+/// score the attacker on it.
 ///
 /// With `clean_attacker` set, the supplied clean-trained model is
 /// evaluated directly (Fig. 9a). Without it, a *robust* attacker is
-/// first trained on defended traces of the same cell (Fig. 9b).
+/// first trained on defended data of the same cell (Fig. 9b).
 ///
 /// Cells shard across the configured worker pool and collect from
-/// `host` as it stands (collection never advances it); collected
-/// datasets and trained models are memoized through `cache`. Output is
+/// `host` as it stands (collection never advances it); collected data
+/// and trained models are memoized through `cache`. Output is
 /// bit-identical for any worker count and any cache state.
 ///
 /// # Errors
@@ -277,15 +275,15 @@ fn assemble(units: Vec<(f64, usize)>, results: Vec<(f64, CellStats)>) -> SweepOu
 /// Returns [`AegisError::Host`] for invalid ids, or [`AegisError::Fault`]
 /// when an injected fault escalates inside a cell.
 #[allow(clippy::too_many_arguments)] // the testbed handle plus one knob per plane
-pub fn classification_sweep(
+pub fn run_sweep<A: Attacker>(
     host: &Host,
     vm: VmId,
     vcpu: usize,
-    app: &dyn SecretApp,
+    target: &A::Target,
     events: &[EventId],
-    collect: &CollectConfig,
+    collect: &A::Collect,
     base: &DefenseDeployment,
-    clean_attacker: Option<&ClassifierAttack>,
+    clean_attacker: Option<&A>,
     cfg: &SweepConfig,
     cache: &ArtifactCache,
 ) -> Result<SweepOutcome, AegisError> {
@@ -293,10 +291,10 @@ pub fn classification_sweep(
     let ckpt_key = ArtifactKey::of(
         "sweep-ckpt",
         &(
-            "classification",
+            A::SWEEP,
             clean_attacker.is_some(),
-            dataset_key(cfg, app, events, collect, base),
-            sweep_fingerprint(cfg),
+            A::data_key(cfg.host_seed, target, events, collect, Some(base)).key,
+            sweep_fingerprint::<A>(cfg),
         ),
     );
     let eval = |chunk: &[(f64, usize)]| {
@@ -309,67 +307,37 @@ pub fn classification_sweep(
                 mechanism: mechanism(mech_idx, eps),
                 obfuscator: base.obfuscator,
             };
-
-            // Defended victim (test) traces.
-            let mut victim_cfg = *collect;
-            victim_cfg.traces_per_secret = cfg.victim_traces_per_secret;
-            victim_cfg.seed = derive_seed(seed, STREAM_VICTIM, 0);
-            let victim = cached_col(
-                cache,
-                &ArtifactKey::raw(
-                    "noisy-dataset",
-                    dataset_key(cfg, app, events, &victim_cfg, &deployment),
-                ),
-                &mut stats,
-                || dataset_impl(host, vm, vcpu, app, events, &victim_cfg, Some(&deployment)),
-            )?;
-
-            let accuracy = match clean_attacker {
-                Some(attacker) => {
-                    let _eval = obs::span("sweep.eval");
-                    attacker.accuracy(&victim)
-                }
+            // One defended collection of this cell: `per_secret` traces
+            // (MEA: runs) per secret on the cell stream `stream`.
+            let mut defended = |per_secret: usize, stream: u64| {
+                let c = A::configure(collect, per_secret, derive_seed(seed, stream, 0));
+                let d = Some(&deployment);
+                cached(
+                    cache,
+                    &A::data_key(cfg.host_seed, target, events, &c, d),
+                    &mut stats,
+                    || A::collect(host, vm, vcpu, target, events, &c, d),
+                )
+            };
+            let victim = defended(cfg.victim_per_secret, STREAM_VICTIM)?;
+            let robust;
+            let attacker = match clean_attacker {
+                Some(attacker) => attacker,
                 None => {
-                    // Robust attacker: trains AND tests on defended traces.
-                    let mut train_collect = *collect;
-                    train_collect.traces_per_secret = cfg.robust_traces_per_secret;
-                    train_collect.seed = derive_seed(seed, STREAM_TRAIN, 0);
-                    let noisy = cached_col(
-                        cache,
-                        &ArtifactKey::raw(
-                            "noisy-dataset",
-                            dataset_key(cfg, app, events, &train_collect, &deployment),
-                        ),
-                        &mut stats,
-                        || {
-                            dataset_impl(
-                                host,
-                                vm,
-                                vcpu,
-                                app,
-                                events,
-                                &train_collect,
-                                Some(&deployment),
-                            )
-                        },
-                    )?;
+                    // Robust attacker: trains AND tests on defended data.
+                    let noisy = defended(cfg.robust_per_secret, STREAM_TRAIN)?;
                     let model_seed = derive_seed(seed, STREAM_MODEL, 0);
-                    // Same key recipe as `ClassifierAttack::train_cached`,
-                    // so both paths share artifacts.
-                    let attacker = cached_col(
+                    robust = cached(
                         cache,
-                        &ArtifactKey::raw(
-                            "attack-model",
-                            fingerprint(&(&noisy, &cfg.train, model_seed)),
-                        ),
+                        &A::model_key(&noisy, &cfg.train, model_seed),
                         &mut stats,
-                        || Ok(ClassifierAttack::train(&noisy, cfg.train, model_seed)),
+                        || Ok(A::fit(&noisy, cfg.train, model_seed)),
                     )?;
-                    let _eval = obs::span("sweep.eval");
-                    attacker.accuracy(&victim)
+                    &robust
                 }
             };
-            Ok((accuracy, stats))
+            let _eval = obs::span("sweep.eval");
+            Ok((attacker.score(&victim), stats))
         })
     };
     let results = run_checkpointed::<CellLog, _, AegisError, _>(
@@ -382,182 +350,18 @@ pub fn classification_sweep(
         |chunk| eval(chunk).into_iter().collect(),
     )?;
     Ok(assemble(units, results))
-}
-
-/// Runs the model-extraction sweep (MEA row of Fig. 9a): for every
-/// (ε, mechanism) cell, collect defended inference runs and score the
-/// sequence attacker on them. Semantics mirror [`classification_sweep`].
-///
-/// # Errors
-///
-/// Returns [`AegisError::Host`] for invalid ids, or [`AegisError::Fault`]
-/// when an injected fault escalates inside a cell.
-#[allow(clippy::too_many_arguments)] // the testbed handle plus one knob per plane
-pub fn mea_sweep(
-    host: &Host,
-    vm: VmId,
-    vcpu: usize,
-    zoo: &DnnZoo,
-    events: &[EventId],
-    collect: &MeaConfig,
-    base: &DefenseDeployment,
-    clean_attacker: Option<&MeaAttack>,
-    cfg: &SweepConfig,
-    cache: &ArtifactCache,
-) -> Result<SweepOutcome, AegisError> {
-    let units = grid_units(cfg);
-    let ckpt_key = ArtifactKey::of(
-        "sweep-ckpt",
-        &(
-            "mea",
-            clean_attacker.is_some(),
-            mea_key(cfg, zoo, events, collect, base),
-            sweep_fingerprint(cfg),
-        ),
-    );
-    let eval = |chunk: &[(f64, usize)]| {
-        Executor::from_config().map(chunk.to_vec(), |_unit, (eps, mech_idx)| {
-            let _cell = obs::span("sweep.cell");
-            let mut stats = CellStats::default();
-            let seed = cell_seed(cfg, eps, mech_idx);
-            let deployment = DefenseDeployment {
-                stack: base.stack.clone(),
-                mechanism: mechanism(mech_idx, eps),
-                obfuscator: base.obfuscator,
-            };
-
-            let mut victim_cfg = *collect;
-            victim_cfg.runs_per_model = cfg.victim_runs_per_model;
-            victim_cfg.seed = derive_seed(seed, STREAM_VICTIM, 0);
-            let victim: MeaRunLog = cached_col(
-                cache,
-                &ArtifactKey::raw(
-                    "noisy-mea-runs",
-                    mea_key(cfg, zoo, events, &victim_cfg, &deployment),
-                ),
-                &mut stats,
-                || {
-                    Ok(MeaRunLog(mea_runs_impl(
-                        host,
-                        vm,
-                        vcpu,
-                        zoo,
-                        events,
-                        &victim_cfg,
-                        Some(&deployment),
-                    )?))
-                },
-            )?;
-
-            let accuracy = match clean_attacker {
-                Some(attacker) => {
-                    let _eval = obs::span("sweep.eval");
-                    attacker.sequence_accuracy(&victim.0)
-                }
-                None => {
-                    let mut train_collect = *collect;
-                    train_collect.seed = derive_seed(seed, STREAM_TRAIN, 0);
-                    let noisy: MeaRunLog = cached_col(
-                        cache,
-                        &ArtifactKey::raw(
-                            "noisy-mea-runs",
-                            mea_key(cfg, zoo, events, &train_collect, &deployment),
-                        ),
-                        &mut stats,
-                        || {
-                            Ok(MeaRunLog(mea_runs_impl(
-                                host,
-                                vm,
-                                vcpu,
-                                zoo,
-                                events,
-                                &train_collect,
-                                Some(&deployment),
-                            )?))
-                        },
-                    )?;
-                    let model_seed = derive_seed(seed, STREAM_MODEL, 0);
-                    // Same key recipe as `MeaAttack::train_cached`.
-                    let attacker = cached_col(
-                        cache,
-                        &ArtifactKey::raw(
-                            "mea-model",
-                            fingerprint(&(&noisy.0, &cfg.train, model_seed)),
-                        ),
-                        &mut stats,
-                        || Ok(MeaAttack::train(&noisy.0, cfg.train, model_seed)),
-                    )?;
-                    let _eval = obs::span("sweep.eval");
-                    attacker.sequence_accuracy(&victim.0)
-                }
-            };
-            Ok((accuracy, stats))
-        })
-    };
-    let results = run_checkpointed::<CellLog, _, AegisError, _>(
-        cache,
-        &cache.fault_plan(),
-        &ckpt_key,
-        "sweep",
-        &units,
-        Executor::from_config().threads(),
-        |chunk| eval(chunk).into_iter().collect(),
-    )?;
-    Ok(assemble(units, results))
-}
-
-/// Cache key of one collected classification dataset: the complete set
-/// of inputs collection is a pure function of — substrate (host seed),
-/// workload, event list, collection settings (including the derived
-/// per-cell seed), and the full deployment.
-fn dataset_key(
-    cfg: &SweepConfig,
-    app: &dyn SecretApp,
-    events: &[EventId],
-    collect: &CollectConfig,
-    deployment: &DefenseDeployment,
-) -> u64 {
-    fingerprint(&(
-        cfg.host_seed,
-        app.name().to_string(),
-        app.n_secrets() as u64,
-        events.to_vec(),
-        *collect,
-        &deployment.stack,
-        &deployment.mechanism,
-        &deployment.obfuscator,
-    ))
-}
-
-/// Cache key of one collected set of MEA runs (see [`dataset_key`]).
-fn mea_key(
-    cfg: &SweepConfig,
-    zoo: &DnnZoo,
-    events: &[EventId],
-    collect: &MeaConfig,
-    deployment: &DefenseDeployment,
-) -> u64 {
-    fingerprint(&(
-        cfg.host_seed,
-        zoo.name().to_string(),
-        zoo.n_secrets() as u64,
-        events.to_vec(),
-        *collect,
-        &deployment.stack,
-        &deployment.mechanism,
-        &deployment.obfuscator,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::{ClassifierAttack, CollectConfig, MeaAttack, MeaConfig};
     use aegis_fuzzer::Gadget;
     use aegis_isa::{IsaCatalog, Vendor, WellKnown};
     use aegis_microarch::MicroArch;
     use aegis_obfuscator::{GadgetStack, ObfuscatorConfig};
     use aegis_sev::SevMode;
-    use aegis_workloads::KeystrokeApp;
+    use aegis_workloads::{DnnZoo, KeystrokeApp};
 
     fn host_vm(seed: u64) -> (Host, VmId) {
         let mut host = Host::new(MicroArch::AmdEpyc7252, 2, seed);
@@ -587,10 +391,91 @@ mod tests {
             seed: 11,
             host_seed: 3,
             train: TrainConfig::default(),
-            victim_traces_per_secret: 2,
-            robust_traces_per_secret: 3,
-            victim_runs_per_model: 1,
+            victim_per_secret: 2,
+            robust_per_secret: 3,
         }
+    }
+
+    fn quick_collect() -> CollectConfig {
+        CollectConfig {
+            traces_per_secret: 4,
+            window_ns: 300_000_000,
+            interval_ns: 2_000_000,
+            pool: 25,
+            seed: 7,
+            per_secret_noise: false,
+        }
+    }
+
+    /// The smallest MEA setup that runs: one run per model (the zoo's 30
+    /// models) for victim and robust collections alike, and a single
+    /// learning-curve increment.
+    fn quick_mea() -> (MeaConfig, SweepConfig) {
+        let collect = MeaConfig {
+            runs_per_model: 1,
+            interval_ns: 1_000_000,
+            pad_ns: 2_000_000,
+            seed: 7,
+        };
+        let cfg = SweepConfig {
+            train: TrainConfig {
+                epochs: 1,
+                ..TrainConfig::default()
+            },
+            victim_per_secret: 1,
+            robust_per_secret: 1,
+            ..quick_sweep_cfg()
+        };
+        (collect, cfg)
+    }
+
+    /// Runs `check` once per attacker: the keystroke classifier and the
+    /// model-extraction attacker, each on its quick settings.
+    fn for_each_attacker(check: impl Fn(&dyn Fn(&ArtifactCache) -> SweepOutcome, &str)) {
+        let (host, vm) = host_vm(3);
+        let core = host.core_of(vm, 0).unwrap();
+        let events = host.core(core).catalog().attack_events().to_vec();
+        let deployment = test_deployment(&host);
+        let app = KeystrokeApp::with_window(300_000_000);
+        let (collect, cfg) = (quick_collect(), quick_sweep_cfg());
+        check(
+            &|cache| {
+                run_sweep::<ClassifierAttack>(
+                    &host,
+                    vm,
+                    0,
+                    &app,
+                    &events,
+                    &collect,
+                    &deployment,
+                    None,
+                    &cfg,
+                    cache,
+                )
+                .unwrap()
+            },
+            "ksa",
+        );
+        let zoo = DnnZoo::new(7);
+        let (mea, mea_cfg) = quick_mea();
+        check(
+            &|cache| {
+                run_sweep::<MeaAttack>(
+                    &host,
+                    vm,
+                    0,
+                    &zoo,
+                    &events,
+                    &mea,
+                    &deployment,
+                    None,
+                    &mea_cfg,
+                    cache,
+                )
+                .unwrap()
+            },
+            "mea",
+        );
     }
 
     #[test]
@@ -613,44 +498,26 @@ mod tests {
 
     #[test]
     fn robust_sweep_is_deterministic_and_counts_cache_traffic() {
-        let (host, vm) = host_vm(3);
-        let core = host.core_of(vm, 0).unwrap();
-        let events = host.core(core).catalog().attack_events().to_vec();
-        let app = KeystrokeApp::with_window(300_000_000);
-        let collect = CollectConfig {
-            traces_per_secret: 4,
-            window_ns: 300_000_000,
-            interval_ns: 2_000_000,
-            pool: 25,
-            seed: 7,
-            per_secret_noise: false,
-        };
-        let deployment = test_deployment(&host);
-        let cfg = quick_sweep_cfg();
+        for_each_attacker(|sweep, tag| {
+            let dir =
+                std::env::temp_dir().join(format!("aegis-sweep-test-{tag}-{}", std::process::id()));
+            let cache = ArtifactCache::new(&dir);
+            let cold = sweep(&cache);
+            let warm = sweep(&cache);
+            let _ = std::fs::remove_dir_all(&dir);
 
-        let dir = std::env::temp_dir().join(format!("aegis-sweep-test-{}", std::process::id()));
-        let cache = ArtifactCache::new(&dir);
-        let cold = classification_sweep(
-            &host, vm, 0, &app, &events, &collect, &deployment, None, &cfg, &cache,
-        )
-        .unwrap();
-        let warm = classification_sweep(
-            &host, vm, 0, &app, &events, &collect, &deployment, None, &cfg, &cache,
-        )
-        .unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // 2 ε × 2 mechanisms × (victim + noisy + model) artifacts.
-        assert_eq!(cold.cache_hits, 0);
-        assert_eq!(cold.cache_misses, 12);
-        assert_eq!(warm.cache_hits, 12);
-        assert_eq!(warm.cache_misses, 0);
-        // Warm results are bit-identical to cold ones.
-        assert_eq!(cold.cells, warm.cells);
-        assert_eq!(cold.rows().len(), 2);
-        for cell in &cold.cells {
-            assert!((0.0..=1.0).contains(&cell.accuracy), "{cell:?}");
-        }
+            // 2 ε × 2 mechanisms × (victim + noisy + model) artifacts.
+            assert_eq!(cold.cache_hits, 0, "{tag}");
+            assert_eq!(cold.cache_misses, 12, "{tag}");
+            assert_eq!(warm.cache_hits, 12, "{tag}");
+            assert_eq!(warm.cache_misses, 0, "{tag}");
+            // Warm results are bit-identical to cold ones.
+            assert_eq!(cold.cells, warm.cells, "{tag}");
+            assert_eq!(cold.rows().len(), 2, "{tag}");
+            for cell in &cold.cells {
+                assert!((0.0..=1.0).contains(&cell.accuracy), "{tag} {cell:?}");
+            }
+        });
     }
 
     #[test]
@@ -676,61 +543,49 @@ mod tests {
     fn killed_sweep_resumes_bit_identically() {
         use aegis_faults::FaultPlan;
 
-        let (host, vm) = host_vm(3);
-        let core = host.core_of(vm, 0).unwrap();
-        let events = host.core(core).catalog().attack_events().to_vec();
-        let app = KeystrokeApp::with_window(300_000_000);
-        let collect = CollectConfig {
-            traces_per_secret: 4,
-            window_ns: 300_000_000,
-            interval_ns: 2_000_000,
-            pool: 25,
-            seed: 7,
-            per_secret_noise: false,
-        };
-        let deployment = test_deployment(&host);
-        let cfg = quick_sweep_cfg();
-        let run_with = |plan: FaultPlan, dir: &std::path::Path| -> SweepOutcome {
-            let cache = ArtifactCache::with_faults(dir, plan);
-            classification_sweep(
-                &host, vm, 0, &app, &events, &collect, &deployment, None, &cfg, &cache,
-            )
-            .unwrap()
-        };
-        let tmp = |tag: &str| {
-            let d = std::env::temp_dir().join(format!(
-                "aegis-sweep-ckpt-{tag}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&d);
-            d
-        };
-        // Reference: an active but sweep-irrelevant plan, so checkpointing
-        // is armed in both runs and outcomes stay comparable.
-        let base = FaultPlan {
-            seed: 5,
-            tick_jitter: 0.5,
-            ..FaultPlan::none()
-        };
-        let dir_ref = tmp("ref");
-        let reference = run_with(base, &dir_ref);
+        for_each_attacker(|sweep, tag| {
+            let run_with = |plan: FaultPlan, dir: &std::path::Path| {
+                sweep(&ArtifactCache::with_faults(dir, plan))
+            };
+            let tmp = |run: &str| {
+                let d = std::env::temp_dir().join(format!(
+                    "aegis-sweep-ckpt-{tag}-{run}-{}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&d);
+                d
+            };
+            // Reference: an active but sweep-irrelevant plan, so
+            // checkpointing is armed in both runs and outcomes stay
+            // comparable.
+            let base = FaultPlan {
+                seed: 5,
+                tick_jitter: 0.5,
+                ..FaultPlan::none()
+            };
+            let dir_ref = tmp("ref");
+            let reference = run_with(base, &dir_ref);
 
-        // Kill the grid mid-run, then resume it from the persisted
-        // checkpoint in the same cache.
-        let kill_plan = FaultPlan {
-            kill_after: 2,
-            ..base
-        };
-        let dir_kill = tmp("kill");
-        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_with(kill_plan, &dir_kill)
-        }));
-        assert!(killed.is_err(), "the injected kill must abort the run");
-        let resumed = run_with(kill_plan, &dir_kill);
-        assert_eq!(reference, resumed);
+            // Kill the grid mid-run, then resume it from the persisted
+            // checkpoint in the same cache.
+            let kill_plan = FaultPlan {
+                kill_after: 2,
+                ..base
+            };
+            let dir_kill = tmp("kill");
+            let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_with(kill_plan, &dir_kill)
+            }));
+            assert!(
+                killed.is_err(),
+                "{tag}: the injected kill must abort the run"
+            );
+            let resumed = run_with(kill_plan, &dir_kill);
+            assert_eq!(reference, resumed, "{tag}");
 
-        let _ = std::fs::remove_dir_all(&dir_ref);
-        let _ = std::fs::remove_dir_all(&dir_kill);
+            let _ = std::fs::remove_dir_all(&dir_ref);
+            let _ = std::fs::remove_dir_all(&dir_kill);
+        });
     }
 
     #[test]
@@ -739,21 +594,14 @@ mod tests {
         let core = host.core_of(vm, 0).unwrap();
         let events = host.core(core).catalog().attack_events().to_vec();
         let app = KeystrokeApp::with_window(300_000_000);
-        let collect = CollectConfig {
-            traces_per_secret: 4,
-            window_ns: 300_000_000,
-            interval_ns: 2_000_000,
-            pool: 25,
-            seed: 7,
-            per_secret_noise: false,
-        };
-        let clean = dataset_impl(&host, vm, 0, &app, &events, &collect, None).unwrap();
+        let collect = quick_collect();
+        let clean = ClassifierAttack::collect(&host, vm, 0, &app, &events, &collect, None).unwrap();
         let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), 7);
         let deployment = test_deployment(&host);
         let cfg = quick_sweep_cfg();
 
         // A disabled cache still yields a correct (all-miss) outcome.
-        let out = classification_sweep(
+        let out = run_sweep::<ClassifierAttack>(
             &host,
             vm,
             0,
@@ -763,16 +611,12 @@ mod tests {
             &deployment,
             Some(&attacker),
             &cfg,
-            &cache_disabled(),
+            &ArtifactCache::disabled(),
         )
         .unwrap();
         assert_eq!(out.cells.len(), 4);
         assert_eq!(out.cache_hits, 0);
         // One victim dataset per cell, no training artifacts.
         assert_eq!(out.cache_misses, 4);
-    }
-
-    fn cache_disabled() -> ArtifactCache {
-        ArtifactCache::disabled()
     }
 }

@@ -5,18 +5,50 @@
 //! KSA 95.21% / 95.48%, MEA 91.8% / 90.5%.
 
 use crate::output::{pct, print_header, print_kv, Table};
-use crate::scenarios::{
-    clean_dataset_cached, clean_mea_runs_cached, ksa_app, mea_zoo, new_host, wfa_app, ExpConfig,
-};
+use crate::scenarios::{clean_cached, ksa_app, mea_zoo, new_host, wfa_app, ExpConfig};
 use aegis::attack::TrainConfig;
 use aegis::par::ArtifactCache;
 use aegis::workloads::SecretApp;
-use aegis::{ClassifierAttack, MeaAttack};
+use aegis::{Attacker, ClassifierAttack, MeaAttack};
 
 pub fn run(cfg: &ExpConfig) {
-    wfa(cfg);
-    ksa(cfg);
-    mea(cfg);
+    let wfa = wfa_app(cfg);
+    attack::<ClassifierAttack>(
+        cfg,
+        [
+            "Fig. 1a — Website fingerprinting attack (paper: 98.72% val / 98.57% victim)",
+            "validation accuracy",
+            "victim-VM accuracy",
+        ],
+        &wfa,
+        cfg.wfa_collect(),
+        0,
+        cfg.sweep_traces_per_secret(wfa.n_secrets()),
+    );
+    attack::<ClassifierAttack>(
+        cfg,
+        [
+            "Fig. 1b — Keystroke sniffing attack (paper: 95.21% val / 95.48% victim)",
+            "validation accuracy",
+            "victim-VM accuracy",
+        ],
+        &ksa_app(cfg),
+        cfg.ksa_collect(),
+        1,
+        8,
+    );
+    attack::<MeaAttack>(
+        cfg,
+        [
+            "Fig. 1c — DNN model extraction attack (paper: 91.8% val / 90.5% victim)",
+            "slice-classifier validation accuracy",
+            "victim layer-sequence accuracy",
+        ],
+        &mea_zoo(cfg),
+        cfg.mea_collect(),
+        2,
+        2,
+    );
 }
 
 fn curve_table(curve: &aegis::attack::TrainingCurve) -> Table {
@@ -33,83 +65,35 @@ fn curve_table(curve: &aegis::attack::TrainingCurve) -> Table {
     t
 }
 
-fn wfa(cfg: &ExpConfig) {
-    print_header("Fig. 1a — Website fingerprinting attack (paper: 98.72% val / 98.57% victim)");
-    let (host, vm) = new_host(cfg.seed);
-    let app = wfa_app(cfg);
+/// One panel: train on clean data collected on a host seeded
+/// `seed + seed_off`, print the curve, then score fresh clean victim
+/// data (`victim_per_secret` traces or runs per secret). `labels` are the
+/// panel header and the validation and victim row labels.
+fn attack<A: Attacker>(
+    cfg: &ExpConfig,
+    [header, val_label, victim_label]: [&str; 3],
+    target: &A::Target,
+    collect: A::Collect,
+    seed_off: u64,
+    victim_per_secret: usize,
+) {
+    print_header(header);
+    let host_seed = cfg.seed + seed_off;
+    let (host, vm) = new_host(host_seed);
     let core = host.core_of(vm, 0).unwrap();
     let events = host.core(core).catalog().attack_events().to_vec();
-    let collect = cfg.wfa_collect();
 
-    let clean = clean_dataset_cached(cfg.seed, &host, vm, 0, &app, &events, &collect);
-    let attack = ClassifierAttack::train_cached(
+    let clean = clean_cached::<A>(host_seed, &host, vm, 0, target, &events, &collect);
+    let attack = A::train_cached(
         &clean,
         TrainConfig::default(),
         cfg.seed,
         &ArtifactCache::default_location(),
     );
-    curve_table(&attack.curve).print();
+    curve_table(attack.curve()).print();
 
-    let mut victim_cfg = collect;
-    victim_cfg.seed = cfg.seed ^ 0xbeef;
-    victim_cfg.traces_per_secret = cfg.sweep_traces_per_secret(app.n_secrets());
-    let victim = clean_dataset_cached(cfg.seed, &host, vm, 0, &app, &events, &victim_cfg);
-    print_kv("validation accuracy", pct(attack.curve.final_val_acc()));
-    print_kv("victim-VM accuracy", pct(attack.accuracy(&victim)));
-}
-
-fn ksa(cfg: &ExpConfig) {
-    print_header("Fig. 1b — Keystroke sniffing attack (paper: 95.21% val / 95.48% victim)");
-    let (host, vm) = new_host(cfg.seed + 1);
-    let app = ksa_app(cfg);
-    let core = host.core_of(vm, 0).unwrap();
-    let events = host.core(core).catalog().attack_events().to_vec();
-    let collect = cfg.ksa_collect();
-
-    let clean = clean_dataset_cached(cfg.seed + 1, &host, vm, 0, &app, &events, &collect);
-    let attack = ClassifierAttack::train_cached(
-        &clean,
-        TrainConfig::default(),
-        cfg.seed,
-        &ArtifactCache::default_location(),
-    );
-    curve_table(&attack.curve).print();
-
-    let mut victim_cfg = collect;
-    victim_cfg.seed = cfg.seed ^ 0xbeef;
-    victim_cfg.traces_per_secret = 8;
-    let victim = clean_dataset_cached(cfg.seed + 1, &host, vm, 0, &app, &events, &victim_cfg);
-    print_kv("validation accuracy", pct(attack.curve.final_val_acc()));
-    print_kv("victim-VM accuracy", pct(attack.accuracy(&victim)));
-}
-
-fn mea(cfg: &ExpConfig) {
-    print_header("Fig. 1c — DNN model extraction attack (paper: 91.8% val / 90.5% victim)");
-    let (host, vm) = new_host(cfg.seed + 2);
-    let zoo = mea_zoo(cfg);
-    let core = host.core_of(vm, 0).unwrap();
-    let events = host.core(core).catalog().attack_events().to_vec();
-    let collect = cfg.mea_collect();
-
-    let runs = clean_mea_runs_cached(cfg.seed + 2, &host, vm, 0, &zoo, &events, &collect);
-    let attack = MeaAttack::train_cached(
-        &runs,
-        TrainConfig::default(),
-        cfg.seed,
-        &ArtifactCache::default_location(),
-    );
-    curve_table(&attack.curve).print();
-    print_kv(
-        "slice-classifier validation accuracy",
-        pct(attack.curve.final_val_acc()),
-    );
-
-    let mut victim_cfg = collect;
-    victim_cfg.seed = cfg.seed ^ 0xbeef;
-    victim_cfg.runs_per_model = 2;
-    let victim = clean_mea_runs_cached(cfg.seed + 2, &host, vm, 0, &zoo, &events, &victim_cfg);
-    print_kv(
-        "victim layer-sequence accuracy",
-        pct(attack.sequence_accuracy(&victim)),
-    );
+    let victim_cfg = A::configure(&collect, victim_per_secret, cfg.seed ^ 0xbeef);
+    let victim = clean_cached::<A>(host_seed, &host, vm, 0, target, &events, &victim_cfg);
+    print_kv(val_label, pct(attack.curve().final_val_acc()));
+    print_kv(victim_label, pct(attack.score(&victim)));
 }

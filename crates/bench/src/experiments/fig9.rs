@@ -17,32 +17,133 @@
 
 use crate::output::{pct, print_header, print_kv, Table};
 use crate::scenarios::{
-    clean_dataset_cached, clean_mea_runs_cached, deployment_for, ksa_app, mea_zoo, new_host,
-    plan_for, wfa_app, ExpConfig,
+    clean_cached, deployment_for, ksa_app, mea_zoo, new_host, plan_for, wfa_app, ExpConfig,
 };
 use aegis::attack::{mutual_information_hist, TrainConfig};
 use aegis::dp::{DStarMechanism, LaplaceMechanism, NoiseMechanism};
 use aegis::par::ArtifactCache;
-use aegis::sweep::{self, SweepConfig, SweepOutcome};
+use aegis::sweep::{run_sweep, SweepConfig};
 use aegis::workloads::SecretApp;
-use aegis::{ClassifierAttack, MeaAttack, MechanismChoice};
+use aegis::{Attacker, ClassifierAttack, MeaAttack, MechanismChoice};
 
 pub fn fig9a(cfg: &ExpConfig) {
     print_header("Fig. 9a — attack accuracy vs ε (clean-trained attacker)");
-    classification_sweep(cfg, "WFA", &wfa_app(cfg), 0, &cfg.eps_grid_fig9a(), false);
-    classification_sweep(cfg, "KSA", &ksa_app(cfg), 1, &cfg.eps_grid_fig9a(), false);
-    mea_sweep(cfg, &cfg.eps_grid_fig9a(), false);
+    let grid = cfg.eps_grid_fig9a();
+    classifier(cfg, "WFA", &wfa_app(cfg), 0, &grid, false);
+    classifier(cfg, "KSA", &ksa_app(cfg), 1, &grid, false);
+    sweep::<MeaAttack>(
+        cfg,
+        "MEA",
+        "(layer-sequence match accuracy)",
+        &mea_zoo(cfg),
+        cfg.mea_collect(),
+        2,
+        &grid,
+        (2, 0), // 2 victim runs per model; Fig. 9b has no MEA row
+        false,
+    );
 }
 
 pub fn fig9b(cfg: &ExpConfig) {
     print_header("Fig. 9b — attack accuracy vs ε (robust attacker trained on noisy traces)");
-    classification_sweep(cfg, "WFA", &wfa_app(cfg), 4, &cfg.eps_grid_fig9b(), true);
-    classification_sweep(cfg, "KSA", &ksa_app(cfg), 5, &cfg.eps_grid_fig9b(), true);
+    let grid = cfg.eps_grid_fig9b();
+    classifier(cfg, "WFA", &wfa_app(cfg), 4, &grid, true);
+    classifier(cfg, "KSA", &ksa_app(cfg), 5, &grid, true);
 }
 
-/// Prints one finished sweep as the figure's table, and its cache
-/// traffic to stderr (stdout must not depend on the cache state).
-fn print_sweep(label: &str, subtitle: &str, out: &SweepOutcome, save_as: &str) {
+/// A WFA/KSA sweep: the label picks the collection settings; victims
+/// take the sweep test-set size, the robust attacker two thirds of the
+/// clean training traces (at least 4).
+fn classifier(
+    cfg: &ExpConfig,
+    label: &str,
+    app: &(dyn SecretApp + 'static),
+    seed_off: u64,
+    eps_grid: &[f64],
+    robust: bool,
+) {
+    let collect = if label == "WFA" {
+        cfg.wfa_collect()
+    } else {
+        cfg.ksa_collect()
+    };
+    sweep::<ClassifierAttack>(
+        cfg,
+        label,
+        &format!("(random guess = {})", pct(1.0 / app.n_secrets() as f64)),
+        app,
+        collect,
+        seed_off,
+        eps_grid,
+        (
+            cfg.sweep_traces_per_secret(app.n_secrets()),
+            (collect.traces_per_secret * 2 / 3).max(4),
+        ),
+        robust,
+    );
+}
+
+/// Runs one attacker's sweep on a host seeded `seed + seed_off` with
+/// `(victim, robust)` traces (MEA: runs) per secret, prints it as the
+/// figure's table, and its cache traffic to stderr (stdout must not
+/// depend on the cache state). The clean-trained attacker (Fig. 9a) is
+/// trained once per sweep; both its clean data and the model are
+/// memoized.
+#[allow(clippy::too_many_arguments)] // one knob per sweep input
+fn sweep<A: Attacker>(
+    cfg: &ExpConfig,
+    label: &str,
+    subtitle: &str,
+    target: &A::Target,
+    collect: A::Collect,
+    seed_off: u64,
+    eps_grid: &[f64],
+    (victim_per_secret, robust_per_secret): (usize, usize),
+    robust: bool,
+) {
+    let seed = cfg.seed + seed_off;
+    let (host, vm) = new_host(seed);
+    let core = host.core_of(vm, 0).unwrap();
+    let events = host.core(core).catalog().attack_events().to_vec();
+    let cache = ArtifactCache::default_location();
+
+    let clean_attacker = (!robust).then(|| {
+        let clean = clean_cached::<A>(seed, &host, vm, 0, target, &events, &collect);
+        A::train_cached(&clean, TrainConfig::default(), cfg.seed, &cache)
+    });
+
+    // Warm the plan cache before workers spawn, then build the base
+    // deployment whose mechanism each cell swaps out.
+    let app = A::app(target);
+    let _ = plan_for(cfg, app);
+    let base = deployment_for(cfg, app, MechanismChoice::Laplace { epsilon: 1.0 });
+    let sweep_cfg = SweepConfig {
+        eps_grid: eps_grid.to_vec(),
+        seed,
+        host_seed: seed,
+        train: TrainConfig::default(),
+        victim_per_secret,
+        robust_per_secret,
+    };
+    let out = run_sweep(
+        &host,
+        vm,
+        0,
+        target,
+        &events,
+        &collect,
+        &base,
+        clean_attacker.as_ref(),
+        &sweep_cfg,
+        &cache,
+    )
+    .expect("sweep uses validated ids");
+
+    let save_as = format!(
+        "fig9{}-{}",
+        if robust { "b" } else { "a" },
+        label.to_lowercase()
+    );
     let mut t = Table::new(&["eps", "laplace acc", "dstar acc"]);
     for (eps, laplace, dstar) in out.rows() {
         t.row_strings(vec![
@@ -53,133 +154,10 @@ fn print_sweep(label: &str, subtitle: &str, out: &SweepOutcome, save_as: &str) {
     }
     println!("  [{label}] {subtitle}");
     t.print();
-    t.save(save_as);
+    t.save(&save_as);
     eprintln!(
         "  [cache] {label} sweep {save_as}: {} hits, {} misses",
         out.cache_hits, out.cache_misses
-    );
-}
-
-fn classification_sweep(
-    cfg: &ExpConfig,
-    label: &str,
-    app: &dyn SecretApp,
-    seed_off: u64,
-    eps_grid: &[f64],
-    robust: bool,
-) {
-    let (host, vm) = new_host(cfg.seed + seed_off);
-    let core = host.core_of(vm, 0).unwrap();
-    let events = host.core(core).catalog().attack_events().to_vec();
-    let collect = if label == "WFA" {
-        cfg.wfa_collect()
-    } else {
-        cfg.ksa_collect()
-    };
-    let chance = 1.0 / app.n_secrets() as f64;
-    let cache = ArtifactCache::default_location();
-
-    // Clean-trained attacker (fig9a) is trained once and reused; both
-    // the clean dataset and the trained model are memoized.
-    let clean_attacker = if robust {
-        None
-    } else {
-        let clean = clean_dataset_cached(cfg.seed + seed_off, &host, vm, 0, app, &events, &collect);
-        Some(ClassifierAttack::train_cached(
-            &clean,
-            TrainConfig::default(),
-            cfg.seed,
-            &cache,
-        ))
-    };
-
-    // Warm the plan cache before workers spawn, then build the base
-    // deployment whose mechanism each cell swaps out.
-    let _ = plan_for(cfg, app);
-    let base = deployment_for(cfg, app, MechanismChoice::Laplace { epsilon: 1.0 });
-    let sweep_cfg = SweepConfig {
-        eps_grid: eps_grid.to_vec(),
-        seed: cfg.seed + seed_off,
-        host_seed: cfg.seed + seed_off,
-        train: TrainConfig::default(),
-        victim_traces_per_secret: cfg.sweep_traces_per_secret(app.n_secrets()),
-        robust_traces_per_secret: (collect.traces_per_secret * 2 / 3).max(4),
-        victim_runs_per_model: 0, // classification sweep: unused
-    };
-    let out = sweep::classification_sweep(
-        &host,
-        vm,
-        0,
-        app,
-        &events,
-        &collect,
-        &base,
-        clean_attacker.as_ref(),
-        &sweep_cfg,
-        &cache,
-    )
-    .expect("sweep uses validated ids");
-    print_sweep(
-        label,
-        &format!("(random guess = {})", pct(chance)),
-        &out,
-        &format!(
-            "fig9{}-{}",
-            if robust { "b" } else { "a" },
-            label.to_lowercase()
-        ),
-    );
-}
-
-fn mea_sweep(cfg: &ExpConfig, eps_grid: &[f64], robust: bool) {
-    let zoo = mea_zoo(cfg);
-    let (host, vm) = new_host(cfg.seed + 2);
-    let core = host.core_of(vm, 0).unwrap();
-    let events = host.core(core).catalog().attack_events().to_vec();
-    let collect = cfg.mea_collect();
-    let cache = ArtifactCache::default_location();
-
-    let clean_attacker = if robust {
-        None
-    } else {
-        let runs = clean_mea_runs_cached(cfg.seed + 2, &host, vm, 0, &zoo, &events, &collect);
-        Some(MeaAttack::train_cached(
-            &runs,
-            TrainConfig::default(),
-            cfg.seed,
-            &cache,
-        ))
-    };
-
-    let _ = plan_for(cfg, &zoo);
-    let base = deployment_for(cfg, &zoo, MechanismChoice::Laplace { epsilon: 1.0 });
-    let sweep_cfg = SweepConfig {
-        eps_grid: eps_grid.to_vec(),
-        seed: cfg.seed + 2,
-        host_seed: cfg.seed + 2,
-        train: TrainConfig::default(),
-        victim_traces_per_secret: 0, // MEA sweep: unused
-        robust_traces_per_secret: 0, // MEA sweep: unused
-        victim_runs_per_model: 2,
-    };
-    let out = sweep::mea_sweep(
-        &host,
-        vm,
-        0,
-        &zoo,
-        &events,
-        &collect,
-        &base,
-        clean_attacker.as_ref(),
-        &sweep_cfg,
-        &cache,
-    )
-    .expect("sweep uses validated ids");
-    print_sweep(
-        "MEA",
-        "(layer-sequence match accuracy)",
-        &out,
-        if robust { "fig9b-mea" } else { "fig9a-mea" },
     );
 }
 
@@ -195,7 +173,8 @@ pub fn fig9c(cfg: &ExpConfig) {
     let events = host.core(core).catalog().attack_events().to_vec();
     let mut collect = cfg.wfa_collect();
     collect.traces_per_secret = if cfg.quick { 4 } else { 8 };
-    let clean = clean_dataset_cached(cfg.seed + 3, &host, vm, 0, &app, &events, &collect);
+    let clean =
+        clean_cached::<ClassifierAttack>(cfg.seed + 3, &host, vm, 0, &app, &events, &collect);
 
     // Scalar feature per trace: its first pooled RETIRED_UOPS value
     // stream, normalized to the obfuscator's unit scale.

@@ -1,10 +1,18 @@
 //! Shared experiment scenarios: hosts, case-study applications, and the
 //! size presets for full vs quick runs.
 
-use aegis::microarch::MicroArch;
+use aegis::fuzzer::FuzzerConfig;
+use aegis::microarch::{EventId, MicroArch};
+use aegis::par::ArtifactCache;
+use aegis::profiler::{RankConfig, WarmupConfig};
 use aegis::sev::{Host, SevMode, VmId};
-use aegis::workloads::{DnnZoo, KeystrokeApp, WebsiteCatalog};
-use aegis::{CollectConfig, MeaConfig};
+use aegis::workloads::{DnnZoo, KeystrokeApp, SecretApp, WebsiteCatalog};
+use aegis::{
+    AegisConfig, AegisPipeline, Attacker, CollectConfig, DefenseDeployment, DefensePlan, MeaConfig,
+    MechanismChoice,
+};
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Global experiment configuration.
 #[derive(Debug, Clone, Copy)]
@@ -124,85 +132,29 @@ pub fn mea_zoo(cfg: &ExpConfig) -> DnnZoo {
     DnnZoo::new(cfg.seed)
 }
 
-use aegis::attack::Dataset;
-use aegis::{Collector, MeaRun, MeaRunLog};
-use aegis::fuzzer::FuzzerConfig;
-use aegis::microarch::EventId;
-use aegis::par::{fingerprint, ArtifactCache, ArtifactKey};
-use aegis::profiler::{RankConfig, WarmupConfig};
-use aegis::workloads::SecretApp;
-use aegis::{AegisConfig, AegisPipeline, DefenseDeployment, DefensePlan, MechanismChoice};
-use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Collects (or reloads) a *clean* dataset, memoized on disk under
-/// `results/cache/` in the columnar `.acs` format — a warm hit is one
-/// bulk read of little-endian pages into pre-sized buffers. Clean
-/// collection is a pure function of the host seed, the app, the event
-/// list, and the collection settings — exactly the tuple fingerprinted
-/// here — so a hit is bit-identical to a fresh collection. A legacy
-/// JSON entry under the same key migrates transparently. Disable with
-/// `AEGIS_NO_CACHE=1`.
-pub fn clean_dataset_cached(
+/// Collects (or reloads) `A`'s *clean* data from `target`, memoized on
+/// disk under `results/cache/` in the columnar `.acs` format — a warm
+/// hit is one bulk read of little-endian pages into pre-sized buffers.
+/// Clean collection is a pure function of the inputs
+/// [`Attacker::data_key`] fingerprints, so a hit is bit-identical to a
+/// fresh collection. Disable with `AEGIS_NO_CACHE=1`.
+pub fn clean_cached<A: Attacker>(
     host_seed: u64,
-    host: &aegis::sev::Host,
+    host: &Host,
     vm: VmId,
     vcpu: usize,
-    app: &dyn SecretApp,
+    target: &A::Target,
     events: &[EventId],
-    collect: &CollectConfig,
-) -> Dataset {
+    collect: &A::Collect,
+) -> A::Data {
     let cache = ArtifactCache::default_location();
-    let key = ArtifactKey::raw(
-        "clean-dataset",
-        fingerprint(&(
-            host_seed,
-            app.name().to_string(),
-            app.n_secrets() as u64,
-            events.to_vec(),
-            *collect,
-        )),
-    );
-    if let Some(hit) = cache.get_col_or_json::<Dataset>(&key) {
-        return hit;
-    }
-    let ds = Collector::for_traces(*collect)
-        .dataset(host, vm, vcpu, app, events, None)
-        .expect("clean collection uses validated ids");
-    let _ = cache.put_col(&key, &ds);
-    ds
-}
-
-/// Collects (or reloads) *clean* model-extraction runs, memoized like
-/// [`clean_dataset_cached`] under the `clean-mea-runs` kind.
-pub fn clean_mea_runs_cached(
-    host_seed: u64,
-    host: &aegis::sev::Host,
-    vm: VmId,
-    vcpu: usize,
-    zoo: &DnnZoo,
-    events: &[EventId],
-    collect: &MeaConfig,
-) -> Vec<(usize, MeaRun)> {
-    let cache = ArtifactCache::default_location();
-    let key = ArtifactKey::raw(
-        "clean-mea-runs",
-        fingerprint(&(
-            host_seed,
-            zoo.name().to_string(),
-            zoo.n_secrets() as u64,
-            events.to_vec(),
-            *collect,
-        )),
-    );
-    if let Some(hit) = cache.get_col_or_json::<MeaRunLog>(&key) {
-        return hit.0;
-    }
-    let runs = Collector::for_mea(*collect)
-        .mea_runs(host, vm, vcpu, zoo, events, None)
-        .expect("clean collection uses validated ids");
-    let _ = cache.put_col(&key, &MeaRunLog(runs.clone()));
-    runs
+    let key = A::data_key(host_seed, target, events, collect, None);
+    cache.get_col(&key).unwrap_or_else(|| {
+        let data = A::collect(host, vm, vcpu, target, events, collect, None)
+            .expect("clean collection uses validated ids");
+        let _ = cache.put_col(&key, &data);
+        data
+    })
 }
 
 static PLAN_CACHE: Mutex<Option<HashMap<String, DefensePlan>>> = Mutex::new(None);

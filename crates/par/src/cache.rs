@@ -96,10 +96,9 @@ impl ArtifactCache {
         self.faults
     }
 
-    /// The file that would hold artifact `kind` under `key` (legacy JSON
-    /// naming; columnar artifacts use [`ArtifactCache::col_path`]).
-    pub fn path_for(&self, kind: &str, key: u64) -> PathBuf {
-        self.dir.join(format!("{kind}-{key:016x}.json"))
+    /// The file that would hold the JSON metadata record at `key`.
+    pub fn json_path(&self, key: &ArtifactKey) -> PathBuf {
+        self.dir.join(format!("{}-{:016x}.json", key.kind, key.key))
     }
 
     /// The file that would hold the columnar artifact at `key`.
@@ -114,26 +113,26 @@ impl ArtifactCache {
         self.enabled && !self.manifest.is_poisoned()
     }
 
-    /// Loads a cached artifact, or `None` on miss (absent, unreadable,
-    /// or no longer parseable — a stale-format file is just a miss,
-    /// surfaced to observability as a `cache.corrupt` event rather than
-    /// an error).
-    pub fn get<T: Deserialize>(&self, kind: &str, key: u64) -> Option<T> {
+    /// Loads a JSON metadata record, or `None` on miss (absent,
+    /// unreadable, or no longer parseable — a stale-format file is just a
+    /// miss, surfaced to observability as a `cache.corrupt` event rather
+    /// than an error).
+    pub fn get_json<T: Deserialize>(&self, key: &ArtifactKey) -> Option<T> {
         if !self.servable() {
             return None;
         }
-        let path = self.path_for(kind, key);
+        let path = self.json_path(key);
         let Ok(text) = std::fs::read_to_string(&path) else {
-            self.note("cache.miss", kind, key, &path);
+            self.note("cache.miss", key, &path);
             return None;
         };
         match serde_json::from_str(&text) {
             Ok(value) => {
-                self.note("cache.hit", kind, key, &path);
+                self.note("cache.hit", key, &path);
                 Some(value)
             }
             Err(_) => {
-                self.note("cache.corrupt", kind, key, &path);
+                self.note("cache.corrupt", key, &path);
                 None
             }
         }
@@ -141,7 +140,7 @@ impl ArtifactCache {
 
     /// Counts a cache outcome and, at the `full` level, logs it with
     /// enough context to find the artifact on disk.
-    fn note(&self, outcome: &str, kind: &str, key: u64, path: &Path) {
+    fn note(&self, outcome: &str, key: &ArtifactKey, path: &Path) {
         if !obs::enabled() {
             return;
         }
@@ -149,24 +148,30 @@ impl ArtifactCache {
         obs::event(
             outcome,
             &[
-                ("cache_kind", kind),
-                ("key", &format!("{key:016x}")),
+                ("cache_kind", key.kind),
+                ("key", &format!("{:016x}", key.key)),
                 ("path", &path.display().to_string()),
             ],
         );
     }
 
-    /// Stores an artifact, creating the cache directory if needed. The
-    /// write is atomic (temp file + rename) so a crashed run can never
-    /// leave a half-written artifact that later reads as a hit.
-    pub fn put<T: Serialize>(&self, kind: &str, key: u64, value: &T) -> io::Result<PathBuf> {
+    /// Stores a JSON metadata record, creating the cache directory if
+    /// needed. The write is atomic (temp file + rename) so a crashed run
+    /// can never leave a half-written artifact that later reads as a hit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`io::Error`] when the artifact cannot be written.
+    pub fn put_json<T: Serialize>(&self, key: &ArtifactKey, value: &T) -> io::Result<PathBuf> {
         if !self.enabled {
             return Ok(PathBuf::new());
         }
         std::fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(kind, key);
+        let path = self.json_path(key);
         let tmp = self.dir.join(format!(
-            ".{kind}-{key:016x}.{}.tmp",
+            ".{}-{:016x}.{}.tmp",
+            key.kind,
+            key.key,
             std::process::id()
         ));
         let json = serde_json::to_string_pretty(value)
@@ -177,45 +182,30 @@ impl ArtifactCache {
             // discipline. The torn artifact must later read as a
             // `cache.corrupt` miss, never as a hit. Keyed per artifact so
             // the outcome is identical at any worker count.
-            let mut s = FaultStream::new(&self.faults, faults::site::CACHE, key);
+            let mut s = FaultStream::new(&self.faults, faults::site::CACHE, key.key);
             if s.chance(self.faults.cache_torn) {
                 std::fs::write(&path, &json.as_bytes()[..json.len() / 2])?;
-                faults::report("cache", "torn_write", &[("key", key)]);
+                faults::report("cache", "torn_write", &[("key", key.key)]);
                 return Ok(path);
             }
         }
         std::fs::write(&tmp, &json)?;
         std::fs::rename(&tmp, &path)?;
-        self.record(kind, key, &path, json.len() as u64);
+        self.record(key, &path, json.len() as u64);
         obs::counter_add("cache.store", 1.0);
         Ok(path)
     }
 
     /// Journals a landed artifact. Journal failures are non-fatal: the
     /// artifact still serves, it just looks like an orphan to `gc`.
-    fn record(&self, kind: &str, key: u64, path: &Path, bytes: u64) {
+    fn record(&self, key: &ArtifactKey, path: &Path, bytes: u64) {
         if let Some(file) = path.file_name().and_then(|f| f.to_str()) {
-            let _ = self.manifest.record_put(kind, key, file, bytes);
+            let _ = self.manifest.record_put(key.kind, key.key, file, bytes);
         }
     }
 
-    /// [`ArtifactCache::get`] addressed by [`ArtifactKey`] (for JSON
-    /// metadata records riding the content-addressed key scheme).
-    pub fn get_json<T: Deserialize>(&self, key: &ArtifactKey) -> Option<T> {
-        self.get(key.kind, key.key)
-    }
-
-    /// [`ArtifactCache::put`] addressed by [`ArtifactKey`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::Error`] when the artifact cannot be written.
-    pub fn put_json<T: Serialize>(&self, key: &ArtifactKey, value: &T) -> io::Result<PathBuf> {
-        self.put(key.kind, key.key, value)
-    }
-
     /// Loads a columnar artifact, or `None` on miss. Like
-    /// [`ArtifactCache::get`], every failure mode — absent file, torn
+    /// [`ArtifactCache::get_json`], every failure mode — absent file, torn
     /// page (inside a column or truncating the file), schema drift,
     /// poisoned manifest — is a miss the recompute path heals, never an
     /// error and never stale data.
@@ -225,40 +215,19 @@ impl ArtifactCache {
         }
         let path = self.col_path(key);
         let Ok(bytes) = std::fs::read(&path) else {
-            self.note("cache.miss", key.kind, key.key, &path);
+            self.note("cache.miss", key, &path);
             return None;
         };
         match decode_frame(&T::schema(), &bytes).and_then(T::from_frame) {
             Ok(value) => {
-                self.note("cache.hit", key.kind, key.key, &path);
+                self.note("cache.hit", key, &path);
                 Some(value)
             }
             Err(_) => {
-                self.note("cache.corrupt", key.kind, key.key, &path);
+                self.note("cache.corrupt", key, &path);
                 None
             }
         }
-    }
-
-    /// Loads a columnar artifact, transparently migrating a legacy JSON
-    /// entry of the same kind/key if one exists: the JSON is parsed once,
-    /// rewritten in the columnar format, and deleted. A legacy entry that
-    /// no longer parses is a miss (recompute), never misread.
-    pub fn get_col_or_json<T: Columnar + Deserialize>(&self, key: &ArtifactKey) -> Option<T> {
-        if let Some(hit) = self.get_col(key) {
-            return Some(hit);
-        }
-        if !self.servable() {
-            return None;
-        }
-        let legacy = self.path_for(key.kind, key.key);
-        let text = std::fs::read_to_string(&legacy).ok()?;
-        let value: T = serde_json::from_str(&text).ok()?;
-        if self.put_col(key, &value).is_ok() {
-            let _ = std::fs::remove_file(&legacy);
-        }
-        self.note("cache.migrate", key.kind, key.key, &legacy);
-        Some(value)
     }
 
     /// Stores a columnar artifact atomically (temp + rename) and journals
@@ -294,7 +263,7 @@ impl ArtifactCache {
         ));
         std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, &path)?;
-        self.record(key.kind, key.key, &path, bytes.len() as u64);
+        self.record(key, &path, bytes.len() as u64);
         obs::counter_add("cache.store", 1.0);
         Ok(path)
     }
@@ -349,20 +318,26 @@ mod tests {
     fn put_then_get_roundtrips() {
         let cache = ArtifactCache::new(temp_dir("roundtrip"));
         let value = vec![(1u64, 0.5f64), (2, 0.25)];
-        assert!(cache.get::<Vec<(u64, f64)>>("demo", 7).is_none());
-        cache.put("demo", 7, &value).unwrap();
-        assert_eq!(cache.get::<Vec<(u64, f64)>>("demo", 7), Some(value));
+        let key = ArtifactKey::raw("demo", 7);
+        assert!(cache.get_json::<Vec<(u64, f64)>>(&key).is_none());
+        cache.put_json(&key, &value).unwrap();
+        assert_eq!(cache.get_json::<Vec<(u64, f64)>>(&key), Some(value));
         // A different key or kind still misses.
-        assert!(cache.get::<Vec<(u64, f64)>>("demo", 8).is_none());
-        assert!(cache.get::<Vec<(u64, f64)>>("other", 7).is_none());
+        assert!(cache
+            .get_json::<Vec<(u64, f64)>>(&ArtifactKey::raw("demo", 8))
+            .is_none());
+        assert!(cache
+            .get_json::<Vec<(u64, f64)>>(&ArtifactKey::raw("other", 7))
+            .is_none());
     }
 
     #[test]
     fn corrupt_artifacts_read_as_misses() {
         let cache = ArtifactCache::new(temp_dir("corrupt"));
-        cache.put("demo", 1, &vec![1u64]).unwrap();
-        std::fs::write(cache.path_for("demo", 1), "{not json").unwrap();
-        assert!(cache.get::<Vec<u64>>("demo", 1).is_none());
+        let key = ArtifactKey::raw("demo", 1);
+        cache.put_json(&key, &vec![1u64]).unwrap();
+        std::fs::write(cache.json_path(&key), "{not json").unwrap();
+        assert!(cache.get_json::<Vec<u64>>(&key).is_none());
     }
 
     #[test]
@@ -375,16 +350,17 @@ mod tests {
         let dir = temp_dir("torn");
         let cache = ArtifactCache::with_faults(dir.clone(), plan);
         let value = vec![1u64, 2, 3];
-        let path = cache.put("demo", 5, &value).unwrap();
+        let key = ArtifactKey::raw("demo", 5);
+        let path = cache.put_json(&key, &value).unwrap();
         assert!(path.exists(), "torn write still lands at the final path");
         assert!(
-            cache.get::<Vec<u64>>("demo", 5).is_none(),
+            cache.get_json::<Vec<u64>>(&key).is_none(),
             "a torn artifact must never read as a hit"
         );
         // The recompute-and-store path (now fault-free) heals the entry.
         let healed = ArtifactCache::with_faults(dir, FaultPlan::none());
-        healed.put("demo", 5, &value).unwrap();
-        assert_eq!(healed.get::<Vec<u64>>("demo", 5), Some(value));
+        healed.put_json(&key, &value).unwrap();
+        assert_eq!(healed.get_json::<Vec<u64>>(&key), Some(value));
     }
 
     #[test]
@@ -398,18 +374,17 @@ mod tests {
     #[test]
     fn disabled_cache_never_hits() {
         let cache = ArtifactCache::disabled();
-        cache.put("demo", 1, &vec![1u64]).unwrap();
-        assert!(cache.get::<Vec<u64>>("demo", 1).is_none());
         let key = ArtifactKey::raw("demo", 1);
+        cache.put_json(&key, &vec![1u64]).unwrap();
+        assert!(cache.get_json::<Vec<u64>>(&key).is_none());
         cache.put_col(&key, &Blob { data: vec![1.0] }).unwrap();
         assert!(cache.get_col::<Blob>(&key).is_none());
     }
 
     use crate::store::columnar::{ColumnFrame, ColumnSchema, FrameReader};
-    use serde::Value;
 
-    /// Minimal payload with both a columnar and a JSON encoding, for
-    /// exercising the cache paths without pulling in real datasets.
+    /// Minimal columnar payload, for exercising the cache paths without
+    /// pulling in real datasets.
     #[derive(Debug, Clone, PartialEq)]
     struct Blob {
         data: Vec<f64>,
@@ -425,25 +400,6 @@ mod tests {
         fn decode_columns(reader: &mut FrameReader) -> Result<Self, crate::store::FrameError> {
             Ok(Blob {
                 data: reader.f64s()?,
-            })
-        }
-    }
-
-    impl Serialize for Blob {
-        fn to_value(&self) -> Value {
-            let mut map = serde::Map::new();
-            map.insert("data".to_string(), self.data.to_value());
-            Value::Object(map)
-        }
-    }
-
-    impl Deserialize for Blob {
-        fn from_value(v: &Value) -> Result<Self, serde::Error> {
-            let data = v
-                .get("data")
-                .ok_or_else(|| serde::Error::custom("missing data"))?;
-            Ok(Blob {
-                data: Deserialize::from_value(data)?,
             })
         }
     }
@@ -495,51 +451,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_entries_migrate_to_columnar() {
-        let cache = ArtifactCache::new(temp_dir("col-migrate"));
-        let key = ArtifactKey::raw("blob", 3);
-        let value = Blob {
-            data: vec![1.0, 2.0, 3.0],
-        };
-        // A pre-store cache entry: JSON at the legacy path.
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        std::fs::write(
-            cache.path_for("blob", 3),
-            serde_json::to_string(&value).unwrap(),
-        )
-        .unwrap();
-
-        assert_eq!(cache.get_col_or_json::<Blob>(&key), Some(value.clone()));
-        assert!(
-            !cache.path_for("blob", 3).exists(),
-            "legacy file consumed by migration"
-        );
-        assert!(
-            cache.col_path(&key).exists(),
-            "columnar replacement written"
-        );
-        assert_eq!(cache.get_col::<Blob>(&key), Some(value));
-
-        // A legacy entry that no longer parses is a miss, never misread.
-        std::fs::write(cache.path_for("blob", 4), "{not json").unwrap();
-        assert!(cache
-            .get_col_or_json::<Blob>(&ArtifactKey::raw("blob", 4))
-            .is_none());
-    }
-
-    #[test]
     fn poisoned_manifest_fails_closed_for_both_formats() {
         let dir = temp_dir("col-poison");
         let cache = ArtifactCache::new(dir.clone());
         let key = ArtifactKey::raw("blob", 7);
         cache.put_col(&key, &Blob { data: vec![1.0] }).unwrap();
-        cache.put("meta", 7, &vec![1u64]).unwrap();
+        let meta = ArtifactKey::raw("meta", 7);
+        cache.put_json(&meta, &vec![1u64]).unwrap();
         std::fs::write(cache.manifest().path(), "garbage\n").unwrap();
 
         let fresh = ArtifactCache::new(dir);
         assert!(fresh.get_col::<Blob>(&key).is_none());
-        assert!(fresh.get_col_or_json::<Blob>(&key).is_none());
-        assert!(fresh.get::<Vec<u64>>("meta", 7).is_none());
+        assert!(fresh.get_json::<Vec<u64>>(&meta).is_none());
         // gc repairs by wiping; afterwards the cache serves fresh puts.
         let report = fresh.gc(u64::MAX).unwrap();
         assert!(report.reset);

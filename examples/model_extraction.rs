@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let attacker = MeaAttack::train(&runs, TrainConfig::default(), 7);
     println!(
         "slice-classifier validation accuracy: {:.1}%",
-        attacker.curve.final_val_acc() * 100.0
+        attacker.slices.curve.final_val_acc() * 100.0
     );
 
     // Extract a few fresh victim runs and show them next to ground truth.

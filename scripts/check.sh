@@ -103,8 +103,8 @@ echo "== store matrix (AEGIS_FAULTS=smoke) =="
 # The artifact-store contract suite re-runs under the smoke plan so the
 # cache torn-write site actually fires on the populate step of the
 # smoke sequence (populate → corrupt one page → heal → gc →
-# bit-identical re-read), alongside the pinned binary layout, legacy
-# JSON migration, fail-closed manifest, and GC-safety properties.
+# bit-identical re-read), alongside the pinned binary layout, the
+# fail-closed manifest, GC safety, and workspace-anchored cache paths.
 AEGIS_FAULTS=smoke cargo test -q --test store_format
 
 echo "== fleet matrix (AEGIS_FAULTS=smoke) =="

@@ -10,7 +10,7 @@
 use aegis::faults::FaultPlan;
 use aegis::microarch::{MicroArch, OriginFilter};
 use aegis::obs::{self, ObsLevel};
-use aegis::par::{set_threads, ArtifactCache};
+use aegis::par::{set_threads, ArtifactCache, ArtifactKey};
 use aegis::sev::{Host, PlanSource, Probe, SevMode};
 use aegis::workloads::{MixSpec, Segment, WebsiteCatalog, WorkloadPlan};
 use aegis::{CollectConfig, Collector};
@@ -88,11 +88,12 @@ fn corrupt_cache_entry_surfaces_as_event_not_panic() {
     obs::set_level(Some(ObsLevel::Full));
 
     let cache = ArtifactCache::new(&cache_dir);
-    cache.put("demo", 3, &vec![1u64, 2]).unwrap();
-    std::fs::write(cache.path_for("demo", 3), "{definitely not json").unwrap();
+    let key = ArtifactKey::raw("demo", 3);
+    cache.put_json(&key, &vec![1u64, 2]).unwrap();
+    std::fs::write(cache.json_path(&key), "{definitely not json").unwrap();
 
     let before = obs::snapshot();
-    let hit = cache.get::<Vec<u64>>("demo", 3);
+    let hit = cache.get_json::<Vec<u64>>(&key);
     assert!(hit.is_none(), "a corrupt artifact must read as a miss");
     let delta = obs::snapshot().since(&before);
     assert_eq!(delta.counter("cache.corrupt"), 1.0);
@@ -137,7 +138,7 @@ fn run_log_validates_against_golden_schema() {
     // a plain event via a cache miss.
     collect_once();
     assert!(ArtifactCache::new(&cache_dir)
-        .get::<Vec<u64>>("absent", 1)
+        .get_json::<Vec<u64>>(&ArtifactKey::raw("absent", 1))
         .is_none());
     obs::flush();
     let log = obs::current_run_log().expect("full level opened a run log");

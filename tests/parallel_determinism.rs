@@ -335,9 +335,9 @@ fn sweep_grid_is_bit_identical_under_workers_obs_and_cache() {
     // grid position or worker id, so every combination is one result.
     use aegis::fuzzer::Gadget;
     use aegis::obfuscator::{GadgetStack, ObfuscatorConfig};
-    use aegis::sweep::{classification_sweep, SweepConfig};
+    use aegis::sweep::{run_sweep, SweepConfig};
     use aegis::workloads::KeystrokeApp;
-    use aegis::{DefenseDeployment, MechanismChoice};
+    use aegis::{ClassifierAttack, DefenseDeployment, MechanismChoice};
     use aegis_isa::WellKnown;
 
     let _guard = THREAD_KNOB.lock().unwrap();
@@ -379,14 +379,22 @@ fn sweep_grid_is_bit_identical_under_workers_obs_and_cache() {
         seed: 11,
         host_seed: 3,
         train: aegis::attack::TrainConfig::default(),
-        victim_traces_per_secret: 2,
-        robust_traces_per_secret: 2,
-        victim_runs_per_model: 1,
+        victim_per_secret: 2,
+        robust_per_secret: 2,
     };
     let run = |threads: usize, cache: &ArtifactCache| {
         set_threads(threads);
-        classification_sweep(
-            &host, vm, 0, &app, &events, &collect, &deployment, None, &cfg, cache,
+        run_sweep::<ClassifierAttack>(
+            &host,
+            vm,
+            0,
+            &app,
+            &events,
+            &collect,
+            &deployment,
+            None,
+            &cfg,
+            cache,
         )
         .unwrap()
     };

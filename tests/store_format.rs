@@ -1,5 +1,5 @@
 //! The artifact store's external contract: the pinned `.acs` binary
-//! layout, legacy-JSON migration, GC safety under budget pressure,
+//! layout, GC safety under budget pressure,
 //! fail-closed manifest handling, workspace-anchored default paths, and
 //! the populate → corrupt → heal → gc → re-read smoke sequence that
 //! `scripts/check.sh` replays under `AEGIS_FAULTS=smoke`.
@@ -79,40 +79,6 @@ fn golden_acs_layout_is_pinned_byte_for_byte() {
 }
 
 #[test]
-fn legacy_json_datasets_migrate_to_columnar() {
-    let dir = temp_dir("legacy-json");
-    let cache = ArtifactCache::with_faults(&dir, FaultPlan::none());
-    let ds = dataset(12, 6, 3);
-    let key = ArtifactKey::of("legacy-dataset", &1u64);
-
-    // A pre-store cache entry: JSON at the legacy `<kind>-<key>.json`
-    // path, as every pre-columnar release wrote it.
-    std::fs::create_dir_all(cache.dir()).unwrap();
-    std::fs::write(
-        cache.path_for(key.kind, key.key),
-        serde_json::to_string(&ds).unwrap(),
-    )
-    .unwrap();
-
-    // The read path serves it once from JSON, rewrites it columnar, and
-    // deletes the legacy file.
-    assert_eq!(cache.get_col_or_json::<Dataset>(&key), Some(ds.clone()));
-    assert!(
-        !cache.path_for(key.kind, key.key).exists(),
-        "legacy file consumed by migration"
-    );
-    assert!(cache.col_path(&key).exists(), "columnar replacement written");
-    assert_eq!(cache.get_col::<Dataset>(&key), Some(ds));
-
-    // A legacy entry that no longer parses is a miss — recompute, never
-    // misread.
-    let bad = ArtifactKey::of("legacy-dataset", &2u64);
-    std::fs::write(cache.path_for(bad.kind, bad.key), "{torn json").unwrap();
-    assert!(cache.get_col_or_json::<Dataset>(&bad).is_none());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn corrupt_manifest_fails_closed_and_gc_repairs() {
     let dir = temp_dir("manifest-poison");
     let cache = ArtifactCache::with_faults(&dir, FaultPlan::none());
@@ -125,7 +91,6 @@ fn corrupt_manifest_fails_closed_and_gc_repairs() {
     // must miss (recompute), never serve possibly-stale bytes.
     let fresh = ArtifactCache::with_faults(&dir, FaultPlan::none());
     assert!(fresh.get_col::<Dataset>(&key).is_none());
-    assert!(fresh.get_col_or_json::<Dataset>(&key).is_none());
 
     // gc is the only repair: wipe and restart, after which the cache
     // serves fresh puts again.
