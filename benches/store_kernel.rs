@@ -17,9 +17,9 @@
 
 mod common;
 
-use aegis::attack::{Dataset, TrainConfig};
+use aegis::attack::Dataset;
 use aegis::par::{set_threads, ArtifactCache, ArtifactKey};
-use aegis::ClassifierAttack;
+use aegis::{Attacker, ClassifierAttack};
 use common::BenchFile;
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
@@ -61,15 +61,7 @@ fn store_bed(tag: &str, n: usize, dim: usize) -> StoreBed {
     let cache = ArtifactCache::new(&dir);
 
     let ds = synthetic_dataset(5, n, dim, 6);
-    let model = ClassifierAttack::train(
-        &ds,
-        TrainConfig {
-            epochs: 4,
-            batch_size: 16,
-            ..TrainConfig::default()
-        },
-        9,
-    );
+    let model = ClassifierAttack::fit(&ds, 9);
 
     // One key per format, so each read serves only its own file.
     let ds_col = ArtifactKey::raw("bench-dataset-col", 1);

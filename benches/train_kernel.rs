@@ -148,7 +148,6 @@ fn sweep_bed() -> SweepBed {
             eps_grid: vec![0.25, 1.0, 4.0],
             seed: 11,
             host_seed: 3,
-            train: TrainConfig::default(),
             victim_per_secret: 3,
             robust_per_secret: 3,
         },

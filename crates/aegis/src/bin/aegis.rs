@@ -9,15 +9,14 @@
 //! aegis overhead --app keystroke --plan plan.json --mechanism dstar --epsilon 8.0
 //! ```
 
-use aegis::attack::TrainConfig;
 use aegis::fuzzer::FuzzerConfig;
 use aegis::microarch::MicroArch;
 use aegis::profiler::{RankConfig, WarmupConfig};
 use aegis::sev::{Host, SevMode, VmId};
 use aegis::workloads::{CryptoApp, DnnZoo, KeystrokeApp, SecretApp, WebsiteCatalog};
 use aegis::{
-    measure_app_run, AegisConfig, AegisPipeline, ClassifierAttack, CollectConfig, Collector,
-    DefenseDeployment, DefensePlan, MechanismChoice,
+    measure_app_run, AegisConfig, AegisPipeline, Attacker, ClassifierAttack, CollectConfig,
+    Collector, DefenseDeployment, DefensePlan, MechanismChoice,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -270,7 +269,7 @@ fn evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
     let clean = Collector::for_traces(cfg)
         .dataset(&host, vm, 0, app.as_ref(), &events, None)
         .map_err(|e| e.to_string())?;
-    let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), s);
+    let attacker = ClassifierAttack::fit(&clean, s);
     println!(
         "clean attack accuracy:    {:6.2}%  (random guess {:.2}%)",
         attacker.curve.final_val_acc() * 100.0,

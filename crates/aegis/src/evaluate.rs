@@ -27,6 +27,9 @@ const STREAM_NOISE: u64 = 0x02;
 const STREAM_MEA_PLAN: u64 = 0x03;
 const STREAM_MEA_NOISE: u64 = 0x04;
 
+/// Tag mixed into a classifier's training seed to draw its 70/30 split.
+const CLASSIFIER_SPLIT: u64 = 0xa77a_c4e0;
+
 /// Trace-collection settings for attack datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CollectConfig {
@@ -297,36 +300,54 @@ fn dataset_impl(
 pub struct ClassifierAttack {
     model: GaussianNb,
     standardizer: Standardizer,
-    /// Training curve (Fig. 1 material): the model refit on growing
-    /// training subsets, one increment per "epoch".
+    /// The fit's one point: train loss and train accuracy on the 70%
+    /// split, validation accuracy on the 30%. Fig. 1's curve comes from
+    /// [`Attacker::learning_curve`].
     pub curve: TrainingCurve,
 }
 
 impl ClassifierAttack {
     /// Trains on a clean (or noisy, for the robust attacker of Fig. 9b)
-    /// dataset with the paper's 70/30 train/validation split. The
-    /// `train_cfg.epochs` value sets the number of learning-curve
-    /// increments recorded.
+    /// dataset with the paper's 70/30 train/validation split: the same
+    /// fit as [`Attacker::fit`]. `_train_cfg` is unread — the Gaussian
+    /// model has no optimizer settings — and stays only for callers of
+    /// this signature.
     ///
     /// # Panics
     ///
     /// Panics if `dataset` is empty.
-    pub fn train(dataset: &Dataset, train_cfg: TrainConfig, seed: u64) -> Self {
-        let _span = obs::span("attack.train");
-        Self::fit_split(dataset, train_cfg, seed ^ 0xa77a_c4e0)
+    pub fn train(dataset: &Dataset, _train_cfg: TrainConfig, seed: u64) -> Self {
+        Self::fit(dataset, seed)
     }
 
     /// The 70/30 split drawn from `split_seed`, a standardizer fitted on
-    /// the training part, and the model refit along the curve.
-    fn fit_split(dataset: &Dataset, train_cfg: TrainConfig, split_seed: u64) -> Self {
+    /// the training part, and the model fit on `increments` growing
+    /// prefixes of that part, one curve point each — the reproduction's
+    /// analogue of the paper's per-epoch training curves. The last prefix
+    /// is the whole part and keeps its model, so one increment is one
+    /// fit with one point.
+    fn fit_split(dataset: &Dataset, increments: usize, split_seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(split_seed);
         let (mut train, mut val) = dataset.split(0.7, &mut rng);
         let standardizer = Standardizer::fit(&train.samples);
         standardizer.apply_dataset(&mut train);
         standardizer.apply_dataset(&mut val);
-        let (model, curve) = fit_with_curve(&train, &val, train_cfg.epochs.max(1));
+        let increments = increments.max(1);
+        let mut curve = TrainingCurve::new();
+        let mut model = None;
+        for e in 0..increments {
+            let sub = train.head(((train.len() * (e + 1)) / increments).max(1));
+            let m = GaussianNb::fit(&sub);
+            curve.push(EpochStats {
+                epoch: e,
+                train_loss: m.mean_nll(&sub),
+                train_acc: m.accuracy(&sub),
+                val_acc: m.accuracy(&val),
+            });
+            model = Some(m);
+        }
         ClassifierAttack {
-            model,
+            model: model.expect("at least one increment"),
             standardizer,
             curve,
         }
@@ -345,7 +366,7 @@ impl ClassifierAttack {
 /// bulk page reads.
 impl Columnar for ClassifierAttack {
     fn schema() -> ColumnSchema {
-        ColumnSchema::new("aegis/classifier-attack", 1)
+        ColumnSchema::new("aegis/classifier-attack", 2)
     }
 
     fn encode_columns(&self, frame: &mut ColumnFrame) {
@@ -646,20 +667,26 @@ fn mea_runs_impl(
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeaAttack {
     /// The slice classifier: [`BLANK`]` + 1` classes over per-slice
-    /// features, with its training curve.
+    /// features.
     pub slices: ClassifierAttack,
 }
 
 impl MeaAttack {
     /// Trains the slice classifier on labeled runs (70/30 split at the
-    /// slice level). `train_cfg.epochs` sets the learning-curve
-    /// increments.
+    /// slice level).
     ///
     /// # Panics
     ///
     /// Panics if `runs` contains no slices.
-    pub fn train(runs: &[(usize, MeaRun)], train_cfg: TrainConfig, seed: u64) -> Self {
+    pub fn train(runs: &[(usize, MeaRun)], seed: u64) -> Self {
         let _span = obs::span("attack.train");
+        MeaAttack {
+            slices: Self::fit_slices(runs, 1, seed),
+        }
+    }
+
+    /// [`ClassifierAttack::fit_split`] over every labeled slice of `runs`.
+    fn fit_slices(runs: &[(usize, MeaRun)], increments: usize, seed: u64) -> ClassifierAttack {
         let mut ds = Dataset::new(Vec::new(), Vec::new(), BLANK + 1);
         for (_, run) in runs {
             for (f, &l) in run.slices.iter().zip(&run.slice_labels) {
@@ -667,9 +694,7 @@ impl MeaAttack {
             }
         }
         assert!(!ds.is_empty(), "no slices to train on");
-        MeaAttack {
-            slices: ClassifierAttack::fit_split(&ds, train_cfg, seed ^ 0x5e0a_11ce),
-        }
+        ClassifierAttack::fit_split(&ds, increments, seed ^ 0x5e0a_11ce)
     }
 
     /// Extracts the layer sequence of one run: per-slice prediction, a
@@ -733,7 +758,7 @@ impl MeaAttack {
 /// Columnar layout: the slice classifier's frames under the MEA schema.
 impl Columnar for MeaAttack {
     fn schema() -> ColumnSchema {
-        ColumnSchema::new("aegis/mea-attack", 1)
+        ColumnSchema::new("aegis/mea-attack", 2)
     }
 
     fn encode_columns(&self, frame: &mut ColumnFrame) {
@@ -793,14 +818,17 @@ pub trait Attacker: Columnar + Sync + Sized {
         defense: Option<&DefenseDeployment>,
     ) -> Result<Self::Data, AegisError>;
 
-    /// Trains on `data` (the inherent `train`).
-    fn fit(data: &Self::Data, train: TrainConfig, seed: u64) -> Self;
+    /// Trains on `data`: one fit on the paper's 70/30 split drawn from
+    /// `seed`.
+    fn fit(data: &Self::Data, seed: u64) -> Self;
+
+    /// Fig. 1's learning curve: the model [`Attacker::fit`] trains,
+    /// refit on `increments` growing prefixes of the same training
+    /// split. The last point equals the fitted attacker's.
+    fn learning_curve(data: &Self::Data, increments: usize, seed: u64) -> TrainingCurve;
 
     /// Attack accuracy on victim data.
     fn score(&self, data: &Self::Data) -> f64;
-
-    /// The training curve.
-    fn curve(&self) -> &TrainingCurve;
 
     /// Cache key of one collection: the complete set of inputs it is a
     /// pure function of — substrate (host seed), target, event list,
@@ -837,23 +865,18 @@ pub trait Attacker: Columnar + Sync + Sized {
     }
 
     /// Cache key of a trained model: training is a pure function of
-    /// `(data, train, seed)`.
-    fn model_key(data: &Self::Data, train: &TrainConfig, seed: u64) -> ArtifactKey {
-        ArtifactKey::raw(Self::MODEL_KIND, fingerprint(&(data, train, seed)))
+    /// `(data, seed)`.
+    fn model_key(data: &Self::Data, seed: u64) -> ArtifactKey {
+        ArtifactKey::raw(Self::MODEL_KIND, fingerprint(&(data, seed)))
     }
 
     /// [`Attacker::fit`] memoized through `cache` under
     /// [`Attacker::model_key`], in the columnar `.acs` format: a warm hit
     /// is one bulk read, bit-identical to retraining.
-    fn train_cached(
-        data: &Self::Data,
-        train: TrainConfig,
-        seed: u64,
-        cache: &ArtifactCache,
-    ) -> Self {
-        let key = Self::model_key(data, &train, seed);
+    fn train_cached(data: &Self::Data, seed: u64, cache: &ArtifactCache) -> Self {
+        let key = Self::model_key(data, seed);
         cache.get_col(&key).unwrap_or_else(|| {
-            let model = Self::fit(data, train, seed);
+            let model = Self::fit(data, seed);
             let _ = cache.put_col(&key, &model);
             model
         })
@@ -893,16 +916,17 @@ impl Attacker for ClassifierAttack {
         dataset_impl(host, vm, vcpu, target, events, collect, defense)
     }
 
-    fn fit(data: &Dataset, train: TrainConfig, seed: u64) -> Self {
-        Self::train(data, train, seed)
+    fn fit(data: &Dataset, seed: u64) -> Self {
+        let _span = obs::span("attack.train");
+        Self::fit_split(data, 1, seed ^ CLASSIFIER_SPLIT)
+    }
+
+    fn learning_curve(data: &Dataset, increments: usize, seed: u64) -> TrainingCurve {
+        Self::fit_split(data, increments, seed ^ CLASSIFIER_SPLIT).curve
     }
 
     fn score(&self, data: &Dataset) -> f64 {
         self.accuracy(data)
-    }
-
-    fn curve(&self) -> &TrainingCurve {
-        &self.curve
     }
 }
 
@@ -939,45 +963,17 @@ impl Attacker for MeaAttack {
         mea_runs_impl(host, vm, vcpu, target, events, collect, defense).map(MeaRunLog)
     }
 
-    fn fit(data: &MeaRunLog, train: TrainConfig, seed: u64) -> Self {
-        Self::train(&data.0, train, seed)
+    fn fit(data: &MeaRunLog, seed: u64) -> Self {
+        Self::train(&data.0, seed)
+    }
+
+    fn learning_curve(data: &MeaRunLog, increments: usize, seed: u64) -> TrainingCurve {
+        Self::fit_slices(&data.0, increments, seed).curve
     }
 
     fn score(&self, data: &MeaRunLog) -> f64 {
         self.sequence_accuracy(&data.0)
     }
-
-    fn curve(&self) -> &TrainingCurve {
-        &self.slices.curve
-    }
-}
-
-/// Fits a Gaussian class-conditional model on growing prefixes of the
-/// (already shuffled) training set, recording one curve point per
-/// increment — the reproduction's analogue of the paper's per-epoch
-/// training curves.
-fn fit_with_curve(
-    train: &Dataset,
-    val: &Dataset,
-    increments: usize,
-) -> (GaussianNb, TrainingCurve) {
-    let mut curve = TrainingCurve::new();
-    let mut model = GaussianNb::fit(train);
-    for e in 0..increments {
-        let n = ((train.len() * (e + 1)) / increments).max(1);
-        let sub = train.head(n);
-        let m = GaussianNb::fit(&sub);
-        curve.push(EpochStats {
-            epoch: e,
-            train_loss: m.mean_nll(&sub),
-            train_acc: m.accuracy(&sub),
-            val_acc: m.accuracy(val),
-        });
-        if e + 1 == increments {
-            model = m;
-        }
-    }
-    (model, curve)
 }
 
 /// Latency and CPU-usage measurement of one app execution, with or
@@ -1178,7 +1174,7 @@ mod tests {
             .dataset(&host, vm, 0, &app, &events, None)
             .unwrap();
         assert_eq!(clean.len(), 10 * cfg.traces_per_secret);
-        let attack = ClassifierAttack::train(&clean, TrainConfig::default(), 7);
+        let attack = ClassifierAttack::fit(&clean, 7);
         let clean_acc = attack.curve.final_val_acc();
         assert!(clean_acc > 0.8, "clean accuracy {clean_acc}");
 
@@ -1197,6 +1193,64 @@ mod tests {
         );
     }
 
+    /// A noisy three-class dataset: `n` samples of 4 features.
+    fn noisy_dataset(n: usize) -> Dataset {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut ds = Dataset::new(Vec::new(), Vec::new(), 3);
+        for i in 0..n {
+            let c = i % 3;
+            let f = (0..4)
+                .map(|j| c as f64 * 0.4 + j as f64 * 0.1 + rng.gen::<f64>())
+                .collect();
+            ds.push(f, c);
+        }
+        ds
+    }
+
+    /// Fig. 1's curve ends on the deployed attacker's point, bit for
+    /// bit: its last prefix is the whole training split.
+    fn assert_curve_ends_on_fit(curve: &TrainingCurve, fit: &TrainingCurve) {
+        let bits = |e: &EpochStats| [e.train_loss, e.train_acc, e.val_acc].map(f64::to_bits);
+        assert_eq!(curve.epochs.len(), 60);
+        assert_eq!(fit.epochs.len(), 1);
+        assert_eq!(bits(curve.epochs.last().unwrap()), bits(&fit.epochs[0]));
+        assert_eq!(
+            curve.final_val_acc().to_bits(),
+            fit.final_val_acc().to_bits()
+        );
+    }
+
+    #[test]
+    fn learning_curve_ends_on_the_fitted_classifier() {
+        let ds = noisy_dataset(150);
+        let fit = ClassifierAttack::fit(&ds, 7);
+        assert_curve_ends_on_fit(&ClassifierAttack::learning_curve(&ds, 60, 7), &fit.curve);
+        // The retained signature trains the same model.
+        assert_eq!(ClassifierAttack::train(&ds, TrainConfig::default(), 7), fit);
+    }
+
+    #[test]
+    fn learning_curve_ends_on_the_fitted_mea_attacker() {
+        let ds = noisy_dataset(120);
+        let runs = MeaRunLog(
+            (0..4)
+                .map(|m| {
+                    let rows = (m * 30..(m + 1) * 30).map(|i| ds.samples.row(i).to_vec());
+                    let labels = ds.labels[m * 30..(m + 1) * 30].to_vec();
+                    let run = MeaRun {
+                        slices: rows.collect(),
+                        slice_labels: labels,
+                        truth: vec![0, 1, 2],
+                    };
+                    (m, run)
+                })
+                .collect(),
+        );
+        let fit = MeaAttack::fit(&runs, 7);
+        assert_curve_ends_on_fit(&MeaAttack::learning_curve(&runs, 60, 7), &fit.slices.curve);
+    }
+
     #[test]
     fn attack_models_and_mea_runs_roundtrip_columnar_bit_exactly() {
         // A small separable dataset trains a real attacker whose frames
@@ -1209,7 +1263,7 @@ mod tests {
                 .collect();
             ds.push(f, c);
         }
-        let attack = ClassifierAttack::train(&ds, TrainConfig::default(), 7);
+        let attack = ClassifierAttack::fit(&ds, 7);
         let back = ClassifierAttack::from_frame(attack.to_frame()).unwrap();
         assert_eq!(attack, back);
         assert_eq!(attack.accuracy(&ds).to_bits(), back.accuracy(&ds).to_bits());

@@ -33,9 +33,9 @@
 
 use super::placement::{FleetTopology, PlacementPolicy, Scheduler};
 use crate::error::AegisError;
-use crate::evaluate::ClassifierAttack;
+use crate::evaluate::{Attacker, ClassifierAttack};
 use crate::pipeline::DefenseDeployment;
-use aegis_attack::{trace_features_into, Dataset, TrainConfig};
+use aegis_attack::{trace_features_into, Dataset};
 use aegis_faults::FaultPlan;
 use aegis_microarch::{CoreBatch, EventId, MicroArch, OriginFilter};
 use aegis_obs as obs;
@@ -250,11 +250,7 @@ fn score_cell(
     train: &Dataset,
     test: &Dataset,
 ) -> PolicyAttackCell {
-    let attacker = ClassifierAttack::train(
-        train,
-        TrainConfig::default(),
-        derive_seed(cfg.seed, STREAM_XT_TRAIN, 0),
-    );
+    let attacker = ClassifierAttack::fit(train, derive_seed(cfg.seed, STREAM_XT_TRAIN, 0));
     let accuracy = attacker.accuracy(test);
     obs::gauge_set("fleet.cross_tenant.accuracy", accuracy);
     PolicyAttackCell {

@@ -33,7 +33,6 @@
 use crate::error::AegisError;
 use crate::evaluate::Attacker;
 use crate::pipeline::{DefenseDeployment, MechanismChoice};
-use aegis_attack::TrainConfig;
 use aegis_microarch::EventId;
 use aegis_obs as obs;
 use aegis_par::{
@@ -71,8 +70,6 @@ pub struct SweepConfig {
     /// The seed the measured [`Host`] was built with — folded into the
     /// cache keys so artifacts from different substrates never collide.
     pub host_seed: u64,
-    /// Attacker training settings (also part of the model cache keys).
-    pub train: TrainConfig,
     /// Defended victim (test) traces — MEA: runs — per secret.
     pub victim_per_secret: usize,
     /// Defended training traces (runs) per secret for the robust
@@ -198,9 +195,8 @@ impl Columnar for CellLog {
 
 /// A stable fingerprint of the sweep-wide settings, folded into the
 /// checkpoint key so a changed grid or budget never resumes a stale
-/// checkpoint. The two counts sit where the per-attack count fields they
-/// replaced sat (victim traces, robust traces, victim MEA runs), so the
-/// figure drivers' checkpoint keys did not move.
+/// checkpoint. The victim count sits in the traces or the runs slot by
+/// attacker, so the two attackers' keys never collide.
 fn sweep_fingerprint<A: Attacker>(cfg: &SweepConfig) -> u64 {
     let victim = cfg.victim_per_secret as u64;
     let (traces, runs) = if A::SWEEP == "mea" {
@@ -212,7 +208,6 @@ fn sweep_fingerprint<A: Attacker>(cfg: &SweepConfig) -> u64 {
         &cfg.eps_grid,
         cfg.seed,
         cfg.host_seed,
-        &cfg.train,
         traces,
         cfg.robust_per_secret as u64,
         runs,
@@ -327,12 +322,9 @@ pub fn run_sweep<A: Attacker>(
                     // Robust attacker: trains AND tests on defended data.
                     let noisy = defended(cfg.robust_per_secret, STREAM_TRAIN)?;
                     let model_seed = derive_seed(seed, STREAM_MODEL, 0);
-                    robust = cached(
-                        cache,
-                        &A::model_key(&noisy, &cfg.train, model_seed),
-                        &mut stats,
-                        || Ok(A::fit(&noisy, cfg.train, model_seed)),
-                    )?;
+                    robust = cached(cache, &A::model_key(&noisy, model_seed), &mut stats, || {
+                        Ok(A::fit(&noisy, model_seed))
+                    })?;
                     &robust
                 }
             };
@@ -390,7 +382,6 @@ mod tests {
             eps_grid: vec![0.25, 4.0],
             seed: 11,
             host_seed: 3,
-            train: TrainConfig::default(),
             victim_per_secret: 2,
             robust_per_secret: 3,
         }
@@ -408,8 +399,7 @@ mod tests {
     }
 
     /// The smallest MEA setup that runs: one run per model (the zoo's 30
-    /// models) for victim and robust collections alike, and a single
-    /// learning-curve increment.
+    /// models) for victim and robust collections alike.
     fn quick_mea() -> (MeaConfig, SweepConfig) {
         let collect = MeaConfig {
             runs_per_model: 1,
@@ -418,10 +408,6 @@ mod tests {
             seed: 7,
         };
         let cfg = SweepConfig {
-            train: TrainConfig {
-                epochs: 1,
-                ..TrainConfig::default()
-            },
             victim_per_secret: 1,
             robust_per_secret: 1,
             ..quick_sweep_cfg()
@@ -596,7 +582,7 @@ mod tests {
         let app = KeystrokeApp::with_window(300_000_000);
         let collect = quick_collect();
         let clean = ClassifierAttack::collect(&host, vm, 0, &app, &events, &collect, None).unwrap();
-        let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), 7);
+        let attacker = ClassifierAttack::fit(&clean, 7);
         let deployment = test_deployment(&host);
         let cfg = quick_sweep_cfg();
 

@@ -287,6 +287,22 @@ mod tests {
         assert!(nb.accuracy(&val) < 0.45, "{}", nb.accuracy(&val));
     }
 
+    /// Fig. 1's first increments: with one sample per class every
+    /// residual is zero, the pooled variance sits on its floor, and the
+    /// model memorises its training set — train accuracy 1 and a loss
+    /// that prints as 0.0000 — while held-out accuracy stays far lower.
+    #[test]
+    fn one_sample_per_class_is_memorised() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let train = ordinal_dataset(1, 27, &mut rng);
+        let held_out = ordinal_dataset(10, 27, &mut rng);
+        let nb = GaussianNb::fit(&train);
+        assert!(nb.pooled_var.iter().all(|&v| v == 1e-12));
+        assert_eq!(nb.accuracy(&train), 1.0);
+        assert_eq!(format!("{:.4}", nb.mean_nll(&train)), "0.0000");
+        assert!(nb.accuracy(&held_out) < 0.5, "{}", nb.accuracy(&held_out));
+    }
+
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_training_panics() {

@@ -40,11 +40,6 @@ impl TrainingCurve {
     pub fn final_val_acc(&self) -> f64 {
         self.epochs.last().map_or(0.0, |e| e.val_acc)
     }
-
-    /// Best validation accuracy across epochs.
-    pub fn best_val_acc(&self) -> f64 {
-        self.epochs.iter().map(|e| e.val_acc).fold(0.0, f64::max)
-    }
 }
 
 /// A genuinely columnar curve: one column per metric, epochs aligned by
@@ -98,7 +93,6 @@ mod tests {
     fn accessors_on_empty_curve() {
         let c = TrainingCurve::new();
         assert_eq!(c.final_val_acc(), 0.0);
-        assert_eq!(c.best_val_acc(), 0.0);
     }
 
     #[test]
@@ -112,8 +106,8 @@ mod tests {
                 val_acc: *v,
             });
         }
+        // The last epoch, not the best one.
         assert_eq!(c.final_val_acc(), 0.8);
-        assert_eq!(c.best_val_acc(), 0.9);
     }
 
     #[test]

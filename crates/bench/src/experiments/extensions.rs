@@ -11,7 +11,7 @@ use aegis::isa::IsaCatalog;
 use aegis::microarch::{named, Core, InterferenceConfig};
 use aegis::obfuscator::ObfuscatorConfig;
 use aegis::workloads::{CryptoApp, SecretApp};
-use aegis::{ClassifierAttack, Collector, MechanismChoice};
+use aegis::{Attacker, ClassifierAttack, Collector, MechanismChoice};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,7 +37,7 @@ pub fn ext_crypto(cfg: &ExpConfig) {
     let clean = Collector::for_traces(collect)
         .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
-    let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
+    let attacker = ClassifierAttack::fit(&clean, cfg.seed);
     print_kv(
         "clean key-recovery accuracy",
         format!(
@@ -176,7 +176,7 @@ fn ablation_lanes(cfg: &ExpConfig) {
     let clean = Collector::for_traces(collect)
         .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
-    let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
+    let attacker = ClassifierAttack::fit(&clean, cfg.seed);
 
     // A weak budget where the attack partially survives, so injector
     // structure is visible in the outcome.
@@ -215,7 +215,7 @@ fn ablation_interval(cfg: &ExpConfig) {
     let clean = Collector::for_traces(collect)
         .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
-    let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
+    let attacker = ClassifierAttack::fit(&clean, cfg.seed);
 
     let fine = deployment_for(cfg, &app, MechanismChoice::Laplace { epsilon: 8.0 });
     let mut coarse = fine.clone();

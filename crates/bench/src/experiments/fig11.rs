@@ -10,9 +10,9 @@
 
 use crate::output::{pct, print_header, print_kv, Table};
 use crate::scenarios::{deployment_for, new_host, wfa_app, ExpConfig};
-use aegis::attack::{Dataset, TrainConfig};
+use aegis::attack::Dataset;
 use aegis::workloads::SecretApp;
-use aegis::{ClassifierAttack, Collector, MechanismChoice};
+use aegis::{Attacker, ClassifierAttack, Collector, MechanismChoice};
 
 /// Fig. 11: attack accuracy under uniform random noise of increasing
 /// bound, against the Laplace (ε = 2⁰) reference.
@@ -27,7 +27,7 @@ pub fn fig11(cfg: &ExpConfig) {
     let clean = Collector::for_traces(collect)
         .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
-    let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
+    let attacker = ClassifierAttack::fit(&clean, cfg.seed);
 
     // Peak normalized value of the clean leakage trace: the `p` of the
     // paper's x-axis, expressed in the obfuscator's per-interval units.
@@ -208,7 +208,7 @@ pub fn multitries(cfg: &ExpConfig) {
     let clean = Collector::for_traces(collect)
         .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
-    let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), cfg.seed);
+    let attacker = ClassifierAttack::fit(&clean, cfg.seed);
 
     // A strong budget whose per-trace variance defeats single traces even
     // for a bias-calibrating attacker; averaging washes the variance out.

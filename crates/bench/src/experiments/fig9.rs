@@ -19,7 +19,7 @@ use crate::output::{pct, print_header, print_kv, Table};
 use crate::scenarios::{
     clean_cached, deployment_for, ksa_app, mea_zoo, new_host, plan_for, wfa_app, ExpConfig,
 };
-use aegis::attack::{mutual_information_hist, TrainConfig};
+use aegis::attack::mutual_information_hist;
 use aegis::dp::{DStarMechanism, LaplaceMechanism, NoiseMechanism};
 use aegis::par::ArtifactCache;
 use aegis::sweep::{run_sweep, SweepConfig};
@@ -109,7 +109,7 @@ fn sweep<A: Attacker>(
 
     let clean_attacker = (!robust).then(|| {
         let clean = clean_cached::<A>(seed, &host, vm, 0, target, &events, &collect);
-        A::train_cached(&clean, TrainConfig::default(), cfg.seed, &cache)
+        A::train_cached(&clean, cfg.seed, &cache)
     });
 
     // Warm the plan cache before workers spawn, then build the base
@@ -121,7 +121,6 @@ fn sweep<A: Attacker>(
         eps_grid: eps_grid.to_vec(),
         seed,
         host_seed: seed,
-        train: TrainConfig::default(),
         victim_per_secret,
         robust_per_secret,
     };

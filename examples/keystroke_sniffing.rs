@@ -5,15 +5,14 @@
 //! cargo run --release --example keystroke_sniffing
 //! ```
 
-use aegis::attack::TrainConfig;
 use aegis::fuzzer::FuzzerConfig;
 use aegis::microarch::MicroArch;
 use aegis::profiler::{RankConfig, WarmupConfig};
 use aegis::sev::{Host, SevMode};
 use aegis::workloads::KeystrokeApp;
 use aegis::{
-    measure_app_run, AegisConfig, AegisPipeline, ClassifierAttack, CollectConfig, Collector,
-    DefenseDeployment, MechanismChoice,
+    measure_app_run, AegisConfig, AegisPipeline, Attacker, ClassifierAttack, CollectConfig,
+    Collector, DefenseDeployment, MechanismChoice,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("training the keystroke sniffer ...");
     let template = Collector::for_traces(collect).dataset(&host, vm, 0, &app, &events, None)?;
-    let attacker = ClassifierAttack::train(&template, TrainConfig::default(), 7);
+    let attacker = ClassifierAttack::fit(&template, 7);
     println!(
         "sniffer validation accuracy: {:.1}% (random guess 10%)",
         attacker.curve.final_val_acc() * 100.0

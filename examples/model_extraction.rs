@@ -6,7 +6,6 @@
 //! cargo run --release --example model_extraction
 //! ```
 
-use aegis::attack::TrainConfig;
 use aegis::microarch::MicroArch;
 use aegis::sev::{Host, SevMode};
 use aegis::workloads::{DnnZoo, LayerKind, SecretApp};
@@ -48,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("monitoring inference of {} models ...", zoo.n_secrets());
     let runs = Collector::for_mea(cfg).mea_runs(&host, vm, 0, &zoo, &events, None)?;
-    let attacker = MeaAttack::train(&runs, TrainConfig::default(), 7);
+    let attacker = MeaAttack::train(&runs, 7);
     println!(
         "slice-classifier validation accuracy: {:.1}%",
         attacker.slices.curve.final_val_acc() * 100.0

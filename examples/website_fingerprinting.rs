@@ -6,15 +6,14 @@
 //! cargo run --release --example website_fingerprinting
 //! ```
 
-use aegis::attack::TrainConfig;
 use aegis::fuzzer::FuzzerConfig;
 use aegis::microarch::MicroArch;
 use aegis::profiler::{RankConfig, WarmupConfig};
 use aegis::sev::{Host, SevMode};
 use aegis::workloads::{SecretApp, WebsiteCatalog};
 use aegis::{
-    AegisConfig, AegisPipeline, ClassifierAttack, CollectConfig, Collector, DefenseDeployment,
-    MechanismChoice,
+    AegisConfig, AegisPipeline, Attacker, ClassifierAttack, CollectConfig, Collector,
+    DefenseDeployment, MechanismChoice,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         45 * collect.traces_per_secret
     );
     let template = Collector::for_traces(collect).dataset(&host, vm, 0, &app, &events, None)?;
-    let attacker = ClassifierAttack::train(&template, TrainConfig::default(), 7);
+    let attacker = ClassifierAttack::fit(&template, 7);
     println!(
         "attacker validation accuracy: {:.1}%",
         attacker.curve.final_val_acc() * 100.0

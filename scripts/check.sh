@@ -117,6 +117,12 @@ echo "== fleet matrix (AEGIS_FAULTS=smoke) =="
 # see the ambient plan: the simulated physics must not move.
 AEGIS_FAULTS=smoke cargo test -q --test fleet_plane
 
+echo "== observability matrix (AEGIS_FAULTS=smoke) =="
+# Under the smoke plan injected faults write `fault` events into the run
+# log, so the log must still validate against the golden schema (which
+# lists the `fault` kind) and stay write-only.
+AEGIS_FAULTS=smoke cargo test -q --test observability
+
 echo "== deprecation lint (examples) =="
 # Examples must stay on the current API surface: nothing we present as
 # a usage model may lean on deprecated items. (The old collect_dataset /

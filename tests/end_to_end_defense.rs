@@ -2,15 +2,14 @@
 //! undefended, the offline pipeline builds a plan, the deployed
 //! obfuscator collapses the attack, and the overhead stays bounded.
 
-use aegis::attack::TrainConfig;
 use aegis::fuzzer::FuzzerConfig;
 use aegis::microarch::MicroArch;
 use aegis::profiler::{RankConfig, WarmupConfig};
 use aegis::sev::{Host, SevMode, VmId};
 use aegis::workloads::{KeystrokeApp, SecretApp};
 use aegis::{
-    measure_app_run, AegisConfig, AegisPipeline, ClassifierAttack, CollectConfig, Collector,
-    DefenseDeployment, MechanismChoice,
+    measure_app_run, AegisConfig, AegisPipeline, Attacker, ClassifierAttack, CollectConfig,
+    Collector, DefenseDeployment, MechanismChoice,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,7 +68,7 @@ fn attack_collapses_under_deployed_defense() {
     let clean = Collector::for_traces(cfg)
         .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
-    let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), 7);
+    let attacker = ClassifierAttack::fit(&clean, 7);
     let clean_acc = attacker.curve.final_val_acc();
     assert!(clean_acc > 0.85, "clean attack accuracy {clean_acc}");
 
@@ -122,7 +121,7 @@ fn dstar_defends_better_than_laplace_at_equal_epsilon() {
     let clean = Collector::for_traces(cfg)
         .dataset(&host, vm, 0, &app, &events, None)
         .unwrap();
-    let attacker = ClassifierAttack::train(&clean, TrainConfig::default(), 7);
+    let attacker = ClassifierAttack::fit(&clean, 7);
     let plan = AegisPipeline::offline(&mut host, vm, 0, &app, &quick_pipeline()).unwrap();
 
     // At a weak budget (ε = 2⁵) Laplace leaks while d* still defends.

@@ -135,11 +135,13 @@ fn run_log_validates_against_golden_schema() {
     obs::set_level(Some(ObsLevel::Full));
 
     // Produce every event kind: spans and worker stats via a collection,
-    // a plain event via a cache miss.
+    // a plain event via a cache miss, and a fault event as an injected
+    // fault reports it (the run itself is fault-free).
     collect_once();
     assert!(ArtifactCache::new(&cache_dir)
         .get_json::<Vec<u64>>(&ArtifactKey::raw("absent", 1))
         .is_none());
+    aegis::faults::report("schema_test", "emit", &[("tick", 1)]);
     obs::flush();
     let log = obs::current_run_log().expect("full level opened a run log");
     let text = std::fs::read_to_string(&log).unwrap();
@@ -193,6 +195,7 @@ fn run_log_validates_against_golden_schema() {
         "no worker events in {seen_kinds:?}"
     );
     assert!(seen_kinds.contains("event"), "no plain events in {seen_kinds:?}");
+    assert!(seen_kinds.contains("fault"), "no fault events in {seen_kinds:?}");
 
     teardown(&[&obs_dir, &cache_dir]);
 }

@@ -378,7 +378,6 @@ fn sweep_grid_is_bit_identical_under_workers_obs_and_cache() {
         eps_grid: vec![0.25, 4.0],
         seed: 11,
         host_seed: 3,
-        train: aegis::attack::TrainConfig::default(),
         victim_per_secret: 2,
         robust_per_secret: 2,
     };
