@@ -562,8 +562,8 @@ fn main() {
         window_ns: 300_000_000,
         ..CrossTenantConfig::default()
     };
-    let table = policy_attack_table(&PlacementPolicy::ALL, &app, None, &xt)
-        .expect("attack cells measure");
+    let table =
+        policy_attack_table(&PlacementPolicy::ALL, &app, None, &xt).expect("attack cells measure");
     let chance = 1.0 / app.n_secrets() as f64;
     for cell in &table {
         let co_resident = f64::from(u8::from(cell.co_resident));

@@ -53,10 +53,7 @@ struct StoreBed {
 }
 
 fn store_bed(tag: &str, n: usize, dim: usize) -> StoreBed {
-    let dir = std::env::temp_dir().join(format!(
-        "aegis-store-bench-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("aegis-store-bench-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ArtifactCache::new(&dir);
 

@@ -67,7 +67,12 @@ fn bench_train_kernels(c: &mut Criterion) {
     g.bench_function("softmax-flat", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(9);
-            black_box(SoftmaxRegression::train(&train, &val, softmax_cfg, &mut rng))
+            black_box(SoftmaxRegression::train(
+                &train,
+                &val,
+                softmax_cfg,
+                &mut rng,
+            ))
         });
     });
     g.bench_function("softmax-scalar", |b| {
@@ -218,8 +223,7 @@ fn main() {
         bed.cfg.eps_grid = vec![0.25];
         bed.cfg.victim_per_secret = 2;
         bed.cfg.robust_per_secret = 2;
-        let dir =
-            std::env::temp_dir().join(format!("aegis-train-smoke-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("aegis-train-smoke-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ArtifactCache::new(&dir);
         let cold = run_sweep(&bed, &cache);

@@ -127,7 +127,10 @@ fn xt_setup(
     cfg: &CrossTenantConfig,
 ) -> Result<XtSetup, AegisError> {
     if cfg.tenants < 2 {
-        return Err(AegisError::config("tenants", "need an attacker and a victim"));
+        return Err(AegisError::config(
+            "tenants",
+            "need an attacker and a victim",
+        ));
     }
     if cfg.traces_per_secret < 2 {
         return Err(AegisError::config(

@@ -35,9 +35,7 @@ mod attack;
 mod placement;
 mod sweep;
 
-pub use attack::{
-    cross_tenant_accuracy, policy_attack_table, CrossTenantConfig, PolicyAttackCell,
-};
+pub use attack::{cross_tenant_accuracy, policy_attack_table, CrossTenantConfig, PolicyAttackCell};
 pub use placement::{FleetTopology, Placement, PlacementPolicy, Scheduler};
 pub use sweep::{fleet_sweep, FleetCellOutcome, FleetSweepConfig, FleetSweepOutcome};
 
@@ -355,11 +353,12 @@ impl FleetSupervisor {
     ) -> Result<FleetSupervisor, AegisError> {
         cfg.validate()?;
         let faults = cfg.service.aegis.faults.unwrap_or_else(faults::plan);
-        let store = cfg
-            .service
-            .ledger_dir
-            .as_ref()
-            .map(|dir| (ArtifactCache::with_faults(dir, faults), cfg.service.ledger_scope.clone()));
+        let store = cfg.service.ledger_dir.as_ref().map(|dir| {
+            (
+                ArtifactCache::with_faults(dir, faults),
+                cfg.service.ledger_scope.clone(),
+            )
+        });
         let ledgers = Rc::new(RefCell::new(TenantLedgers::open(
             cfg.service.default_budget,
             store,
@@ -382,8 +381,7 @@ impl FleetSupervisor {
                 plane,
                 crashed: false,
                 degrades: 0,
-                crash_stream: active
-                    .then(|| FaultStream::new(&faults, site::FLEET_HOST, h as u64)),
+                crash_stream: active.then(|| FaultStream::new(&faults, site::FLEET_HOST, h as u64)),
                 degrade_stream: active
                     .then(|| FaultStream::new(&faults, site::FLEET_STORM, h as u64)),
             });
@@ -394,8 +392,7 @@ impl FleetSupervisor {
         for t in 0..cfg.tenants {
             let name = format!("t{t:03}");
             let secret = t % app.n_secrets();
-            let mut rng =
-                StdRng::seed_from_u64(derive_seed(cfg.seed, STREAM_FLEET_APP, t as u64));
+            let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, STREAM_FLEET_APP, t as u64));
             let wplan = app.sample_plan(secret, &mut rng);
             let p = scheduler
                 .place(t, &alive)
@@ -788,9 +785,14 @@ impl FleetSupervisor {
         interval_ns: u64,
         duration_ns: u64,
     ) -> Result<Vec<Vec<aegis_perf::Trace>>, aegis_perf::PerfError> {
-        self.shards[h]
-            .host
-            .record_trace_multi_batch(cores, lanes, events, filter, interval_ns, duration_ns)
+        self.shards[h].host.record_trace_multi_batch(
+            cores,
+            lanes,
+            events,
+            filter,
+            interval_ns,
+            duration_ns,
+        )
     }
 }
 

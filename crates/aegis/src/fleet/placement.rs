@@ -175,9 +175,9 @@ impl Scheduler {
         let hosts = self.topo.hosts;
         let order: Vec<usize> = match self.policy {
             // First-fit host order packs hosts in index order.
-            PlacementPolicy::SmtOff | PlacementPolicy::CorePairExclusive | PlacementPolicy::Packed => {
-                (0..hosts).collect()
-            }
+            PlacementPolicy::SmtOff
+            | PlacementPolicy::CorePairExclusive
+            | PlacementPolicy::Packed => (0..hosts).collect(),
             // Spread rotates the starting host per placement.
             PlacementPolicy::Spread => (0..hosts).map(|i| (self.next_host + i) % hosts).collect(),
         };
@@ -251,9 +251,7 @@ impl Scheduler {
                 .find(|&c| occ[c].is_none() && occ[c + 1].is_none())
                 .map(|c| vec![c, c + 1]),
             // Dense: first free core in core order fills siblings early.
-            PlacementPolicy::Packed => {
-                (0..occ.len()).find(|&c| occ[c].is_none()).map(|c| vec![c])
-            }
+            PlacementPolicy::Packed => (0..occ.len()).find(|&c| occ[c].is_none()).map(|c| vec![c]),
             // Prefer an empty pair; share a sibling only under pressure.
             PlacementPolicy::Spread => (0..pairs)
                 .map(|p| 2 * p)
@@ -280,7 +278,9 @@ mod tests {
     fn packed_fills_siblings_before_next_pair() {
         let mut s = Scheduler::new(topo(1), PlacementPolicy::Packed);
         let alive = [true];
-        let cores: Vec<_> = (0..4).map(|t| s.place(t, &alive).unwrap().cores[0]).collect();
+        let cores: Vec<_> = (0..4)
+            .map(|t| s.place(t, &alive).unwrap().cores[0])
+            .collect();
         assert_eq!(cores, vec![0, 1, 2, 3]);
         assert_eq!(s.co_resident(0, 0), Some(1));
         assert!(s.place(4, &alive).is_none(), "host is full");

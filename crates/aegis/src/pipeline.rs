@@ -550,7 +550,10 @@ mod tests {
         // ε must be positive and finite.
         assert!(matches!(
             AegisConfig::builder().epsilon(0.0).build(),
-            Err(AegisError::Config { field: "epsilon", .. })
+            Err(AegisError::Config {
+                field: "epsilon",
+                ..
+            })
         ));
         assert!(AegisConfig::builder().epsilon(f64::NAN).build().is_err());
         // ε on a budget-less mechanism is a contradiction.
@@ -570,7 +573,10 @@ mod tests {
         // 0 (auto) is fine.
         assert!(matches!(
             AegisConfig::builder().threads(0).build(),
-            Err(AegisError::Config { field: "threads", .. })
+            Err(AegisError::Config {
+                field: "threads",
+                ..
+            })
         ));
         assert_eq!(AegisConfig::builder().build().unwrap().threads, 0);
         // A bad budget smuggled in via .mechanism() is still caught.

@@ -216,10 +216,12 @@ impl EpsilonLedger {
             // evidence (an orphan-removed torn record would read as a
             // fresh ledger on the next open).
             if let Some(file) = path.file_name().and_then(|f| f.to_str()) {
-                let _ = store
-                    .cache
-                    .manifest()
-                    .record_put(LEDGER_KIND, store.key, file, bytes.len() as u64);
+                let _ = store.cache.manifest().record_put(
+                    LEDGER_KIND,
+                    store.key,
+                    file,
+                    bytes.len() as u64,
+                );
             }
             faults::report("service", "ledger_corrupt", &[("key", store.key)]);
         } else {
@@ -338,7 +340,9 @@ impl TenantLedgers {
 
     /// Whether `tenant`'s account is poisoned (torn persisted record).
     pub(crate) fn poisoned(&self, tenant: &str) -> bool {
-        self.ledgers.get(tenant).is_some_and(EpsilonLedger::poisoned)
+        self.ledgers
+            .get(tenant)
+            .is_some_and(EpsilonLedger::poisoned)
     }
 
     /// Clean fleet shutdown: releases every account's gc pin.
@@ -390,8 +394,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("aegis-ledger-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("aegis-ledger-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -502,9 +505,9 @@ mod tests {
         let mut a = EpsilonLedger::open(3.0, Some((cache.clone(), "prod")), plan);
         a.charge("acme", 1.0).unwrap();
         drop(a); // crash: no close(), the pin stays
-        // gc must not orphan-collect the torn evidence — that would
-        // turn "poisoned, refuse all service" into "fresh ledger, full
-        // budget again".
+                 // gc must not orphan-collect the torn evidence — that would
+                 // turn "poisoned, refuse all service" into "fresh ledger, full
+                 // budget again".
         cache.gc(0).unwrap();
         let b = EpsilonLedger::open(3.0, Some((cache, "prod")), FaultPlan::none());
         assert!(b.poisoned(), "torn record survives gc and poisons");
@@ -530,7 +533,10 @@ mod tests {
         // b is untouched: per-tenant records fail independently.
         assert!(!t2.reopen("b"));
         assert_eq!(t2.charge("b", 1.0).unwrap(), 1.0);
-        assert!(matches!(t2.charge("a", 0.5), Err(AegisError::Service { .. })));
+        assert!(matches!(
+            t2.charge("a", 0.5),
+            Err(AegisError::Service { .. })
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

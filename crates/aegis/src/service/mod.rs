@@ -261,10 +261,12 @@ impl AegisService {
         let plan = config.aegis.faults.unwrap_or_else(faults::plan);
         let ledger = EpsilonLedger::open(
             config.default_budget,
-            config
-                .ledger_dir
-                .as_ref()
-                .map(|dir| (ArtifactCache::with_faults(dir, plan), config.ledger_scope.as_str())),
+            config.ledger_dir.as_ref().map(|dir| {
+                (
+                    ArtifactCache::with_faults(dir, plan),
+                    config.ledger_scope.as_str(),
+                )
+            }),
             plan,
         );
         obs::counter_add("service.starts", 1.0);
@@ -996,7 +998,10 @@ impl ServicePlane {
             until_ns: host.clock_ns() + backoff,
         };
         obs::counter_add("service.watchdog_restarts", 1.0);
-        obs::event("service.watchdog_restart", &[("session", &s.id.to_string())]);
+        obs::event(
+            "service.watchdog_restart",
+            &[("session", &s.id.to_string())],
+        );
         self.update_gauges();
     }
 

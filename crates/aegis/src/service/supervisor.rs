@@ -83,10 +83,7 @@ impl SupervisorConfig {
             ));
         }
         if self.reload_attempts == 0 {
-            return Err(AegisError::config(
-                "reload_attempts",
-                "must be at least 1",
-            ));
+            return Err(AegisError::config("reload_attempts", "must be at least 1"));
         }
         Ok(())
     }

@@ -324,9 +324,12 @@ mod tests {
     fn trace_feature_len_pins_the_output_length() {
         // 2 events × 3 samples pooled by 2 → ceil(3/2) + 2 = 4 per row.
         assert_eq!(trace_feature_len(2, 3, 2), 8);
-        for (events, samples, pool) in
-            [(1usize, 1usize, 1usize), (4, 3000, 20), (4, 301, 25), (3, 0, 7)]
-        {
+        for (events, samples, pool) in [
+            (1usize, 1usize, 1usize),
+            (4, 3000, 20),
+            (4, 301, 25),
+            (3, 0, 7),
+        ] {
             let mut t = Trace::new((0..events).map(|i| EventId(i as u32)).collect(), 1);
             for s in 0..samples {
                 t.push_slice(&vec![s as f64; events]);

@@ -180,9 +180,11 @@ impl Columnar for Mat {
         let rows = aegis_par::store::usize_from_u64(rows, "mat rows")?;
         let cols = aegis_par::store::usize_from_u64(cols, "mat cols")?;
         let data = reader.f64s()?;
-        if data.len() != rows.checked_mul(cols).ok_or_else(|| {
-            FrameError::new("mat dims overflow")
-        })? {
+        if data.len()
+            != rows
+                .checked_mul(cols)
+                .ok_or_else(|| FrameError::new("mat dims overflow"))?
+        {
             return Err(FrameError::new("mat buffer/dims mismatch"));
         }
         Ok(Mat { data, rows, cols })
@@ -347,7 +349,10 @@ mod tests {
         assert_eq!(back.rows(), 2);
         assert_eq!(back.cols(), 2);
         assert_eq!(
-            back.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            back.as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
             m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
         // A frame whose buffer disagrees with its dims must not decode.

@@ -109,13 +109,17 @@ impl Mlp {
                     let y = train.labels[i];
                     // Fused forward into scratch.
                     for (j, hj) in hidden.iter_mut().enumerate() {
-                        let dot: f64 =
-                            m.w1.row(j).iter().zip(x).map(|(wi, xi)| wi * xi).sum();
+                        let dot: f64 = m.w1.row(j).iter().zip(x).map(|(wi, xi)| wi * xi).sum();
                         *hj = (dot + m.b1[j]).max(0.0);
                     }
                     for (c, pc) in p.iter_mut().enumerate() {
-                        *pc = m.w2.row(c).iter().zip(&hidden).map(|(wi, hi)| wi * hi).sum::<f64>()
-                            + m.b2[c];
+                        *pc =
+                            m.w2.row(c)
+                                .iter()
+                                .zip(&hidden)
+                                .map(|(wi, hi)| wi * hi)
+                                .sum::<f64>()
+                                + m.b2[c];
                     }
                     softmax_inplace(&mut p);
                     loss_acc += -(p[y].max(1e-12)).ln();
@@ -406,7 +410,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for i in 0..60 {
             ds.push(
-                vec![normal(&mut rng, i as f64 % 3.0, 0.4), normal(&mut rng, 0.0, 1.0)],
+                vec![
+                    normal(&mut rng, i as f64 % 3.0, 0.4),
+                    normal(&mut rng, 0.0, 1.0),
+                ],
                 i % 3,
             );
         }

@@ -94,7 +94,13 @@ impl SoftmaxRegression {
                     let x = train.samples.row(i);
                     let y = train.labels[i];
                     for (c, pc) in p.iter_mut().enumerate() {
-                        *pc = model.w.row(c).iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f64>()
+                        *pc = model
+                            .w
+                            .row(c)
+                            .iter()
+                            .zip(x)
+                            .map(|(wi, xi)| wi * xi)
+                            .sum::<f64>()
                             + model.b[c];
                     }
                     softmax_inplace(&mut p);

@@ -39,9 +39,7 @@ fn main() {
     };
 
     if ids.is_empty() || ids[0] == "list" {
-        println!(
-            "Usage: experiments <id ...|all> [--quick] [--threads N]\n\nExperiments:"
-        );
+        println!("Usage: experiments <id ...|all> [--quick] [--threads N]\n\nExperiments:");
         for (id, desc) in experiments::EXPERIMENTS {
             println!("  {id:<10} {desc}");
         }

@@ -15,7 +15,9 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     if !(value.is_finite() && max.is_finite()) || max <= 0.0 || value <= 0.0 {
         return String::new();
     }
-    let cells = ((value / max) * width as f64).round().clamp(0.0, width as f64) as usize;
+    let cells = ((value / max) * width as f64)
+        .round()
+        .clamp(0.0, width as f64) as usize;
     "█".repeat(cells)
 }
 
@@ -35,8 +37,7 @@ pub fn parse_cell(cell: &str) -> Option<f64> {
 /// chart over its numeric columns, using the first column as the row
 /// label. Returns `None` if the file is not a table artifact.
 pub fn render_artifact(json: &str, width: usize) -> Option<String> {
-    let rows: Vec<serde_json::Map<String, serde_json::Value>> =
-        serde_json::from_str(json).ok()?;
+    let rows: Vec<serde_json::Map<String, serde_json::Value>> = serde_json::from_str(json).ok()?;
     let first = rows.first()?;
     // Stable column order: label column first, then numeric columns
     // sorted by name (the JSON objects lost insertion order).
@@ -95,7 +96,10 @@ pub fn render_dir(dir: &Path, width: usize) -> Result<(), String> {
             continue;
         };
         if let Some(chart) = render_artifact(&json, width) {
-            println!("== {} ==", path.file_stem().unwrap_or_default().to_string_lossy());
+            println!(
+                "== {} ==",
+                path.file_stem().unwrap_or_default().to_string_lossy()
+            );
             print!("{chart}");
         }
     }

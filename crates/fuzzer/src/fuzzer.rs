@@ -227,8 +227,7 @@ impl EventFuzzer {
         } else {
             self.config.candidates_per_event
         };
-        let mut pool_rng =
-            StdRng::seed_from_u64(derive_seed(self.config.seed, STREAM_POOL, 0));
+        let mut pool_rng = StdRng::seed_from_u64(derive_seed(self.config.seed, STREAM_POOL, 0));
         let pool: Vec<Gadget> = (0..budget)
             .map(|_| {
                 let reset = usable[pool_rng.gen_range(0..usable.len())];
@@ -273,9 +272,7 @@ impl EventFuzzer {
                 |(pristine, arena), _unit, block| {
                     let seeds: Vec<u64> = block
                         .iter()
-                        .map(|(idx, _)| {
-                            derive_seed(self.config.seed, STREAM_SESSION, *idx as u64)
-                        })
+                        .map(|(idx, _)| derive_seed(self.config.seed, STREAM_SESSION, *idx as u64))
                         .collect();
                     match arena {
                         Some(batch) => batch.reset_from_core_state(pristine, seeds.len()),
@@ -775,10 +772,8 @@ mod tests {
             fuzzer.run(&catalog, &mut core, &[ev])
         };
         let tmp = |tag: &str| {
-            let d = std::env::temp_dir().join(format!(
-                "aegis-fuzz-ckpt-{tag}-{}",
-                std::process::id()
-            ));
+            let d =
+                std::env::temp_dir().join(format!("aegis-fuzz-ckpt-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&d);
             d
         };

@@ -175,9 +175,7 @@ impl aegis_par::Columnar for TraceLog {
         frame.push_f64(flat);
     }
 
-    fn decode_columns(
-        reader: &mut aegis_par::FrameReader,
-    ) -> Result<Self, aegis_par::FrameError> {
+    fn decode_columns(reader: &mut aegis_par::FrameReader) -> Result<Self, aegis_par::FrameError> {
         use aegis_par::store::usize_from_u64;
         use aegis_par::FrameError;
         let meta = reader.u64s()?;
@@ -194,13 +192,15 @@ impl aegis_par::Columnar for TraceLog {
         // no per-trace copy of the front.
         let mut traces: Vec<RecordedTrace> = Vec::with_capacity(n);
         for chunk in per.chunks_exact(3).rev() {
-            let [len, steps, support] = *chunk else { unreachable!() };
+            let [len, steps, support] = *chunk else {
+                unreachable!()
+            };
             let len = usize_from_u64(len, "trace flat length")?;
             if len % WINDOW_STRIDE != 0 {
                 return Err(FrameError::new("trace length not window aligned"));
             }
-            let support = u32::try_from(support)
-                .map_err(|_| FrameError::new("trace support exceeds u32"))?;
+            let support =
+                u32::try_from(support).map_err(|_| FrameError::new("trace support exceeds u32"))?;
             let at = flat
                 .len()
                 .checked_sub(len)
@@ -398,11 +398,7 @@ impl<'a> BatchTraceRecorder<'a> {
     ///
     /// Panics if `seqs.len()` differs from the batch's lane count.
     pub fn window(&mut self, seqs: &[&[InstrId]]) {
-        assert_eq!(
-            seqs.len(),
-            self.batch.n_lanes(),
-            "one sequence per lane"
-        );
+        assert_eq!(seqs.len(), self.batch.n_lanes(), "one sequence per lane");
         let mut resolved: Option<&[InstrId]> = None;
         for (lane, seq) in seqs.iter().enumerate() {
             // The protocol's calibration windows hand every lane the same
@@ -630,7 +626,11 @@ mod tests {
         let seqs: [&[aegis_isa::InstrId]; 3] = [
             &[WellKnown::Clflush.id(), WellKnown::Load64.id()],
             &[WellKnown::Add64.id()],
-            &[WellKnown::Store64.id(), WellKnown::Load64.id(), WellKnown::Nop.id()],
+            &[
+                WellKnown::Store64.id(),
+                WellKnown::Load64.id(),
+                WellKnown::Nop.id(),
+            ],
         ];
         let reps = 10;
 

@@ -494,7 +494,8 @@ impl CoreBatch {
         spec: &InstructionSpec,
         origin: Origin,
     ) -> Result<ActivityVector, ExecError> {
-        self.step_instr(lane, spec, origin, true).map(|out| out.delta)
+        self.step_instr(lane, spec, origin, true)
+            .map(|out| out.delta)
     }
 
     /// Executes one instruction on a lane *outside* the current window:
@@ -511,7 +512,8 @@ impl CoreBatch {
         spec: &InstructionSpec,
         origin: Origin,
     ) -> Result<ActivityVector, ExecError> {
-        self.step_instr(lane, spec, origin, false).map(|out| out.delta)
+        self.step_instr(lane, spec, origin, false)
+            .map(|out| out.delta)
     }
 
     /// Executes one fenced measurement window on a lane — a fresh window,
@@ -571,7 +573,11 @@ impl CoreBatch {
             let _ = self.step_instr(lane, spec, origin, true);
         }
         let _ = self.step_instr(lane, fence, origin, false);
-        let Lane { win_all: all, win_host: host, .. } = &self.lanes[lane];
+        let Lane {
+            win_all: all,
+            win_host: host,
+            ..
+        } = &self.lanes[lane];
         let mut support = 0u32;
         for i in 0..Feature::COUNT {
             if all.0[i] != 0.0 || host.0[i] != 0.0 {
@@ -787,7 +793,13 @@ impl CounterBank for CoreBatch {
         let row = &mut l.counters[slot];
         let draw = row.draws;
         row.draws += 1;
-        Ok(read_counter(&self.matrix, t.config.event, l.noise_base, draw, &row.acc))
+        Ok(read_counter(
+            &self.matrix,
+            t.config.event,
+            l.noise_base,
+            draw,
+            &row.acc,
+        ))
     }
 
     /// Zeroes the accumulation; the noise stream continues from its

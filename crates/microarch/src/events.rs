@@ -207,8 +207,12 @@ impl EventCatalog {
     /// `microarch.catalog_build` counter, proving the 6166-event Intel
     /// catalog is built once per process rather than once per core.
     pub fn shared(arch: MicroArch) -> Arc<EventCatalog> {
-        static SHARED: [OnceLock<Arc<EventCatalog>>; 4] =
-            [OnceLock::new(), OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        static SHARED: [OnceLock<Arc<EventCatalog>>; 4] = [
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+        ];
         Arc::clone(SHARED[crate::response::arch_slot(arch)].get_or_init(|| {
             aegis_obs::counter_add("microarch.catalog_build", 1.0);
             Arc::new(EventCatalog::for_arch(arch))
@@ -581,7 +585,8 @@ mod tests {
             mid.counter("microarch.catalog_build"),
             "catalog rebuilt despite memoization"
         );
-        let built = mid.counter("microarch.catalog_build") - before.counter("microarch.catalog_build");
+        let built =
+            mid.counter("microarch.catalog_build") - before.counter("microarch.catalog_build");
         assert!(built <= 4.0, "more builds than models: {built}");
     }
 

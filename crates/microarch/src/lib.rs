@@ -54,8 +54,8 @@ mod response;
 
 pub use crate::core::{Core, ExecError, InterferenceConfig};
 pub use activity::{ActivityVector, Feature, Origin};
-pub use batch::CoreBatch;
 pub use arch::MicroArch;
+pub use batch::CoreBatch;
 pub use cache::{CacheOutcome, DataPageCache, PAGE_LINES};
 pub use events::{named, EventCatalog, EventDesc, EventId, EventKind, KindStats};
 pub use pmu::{CounterBank, CounterConfig, OriginFilter, PmuError, COUNTER_SLOTS};

@@ -169,7 +169,10 @@ mod tests {
             }
             let mut by_event = std::collections::BTreeMap::new();
             for slot in 0..2 {
-                by_event.insert(core.programmed_event(slot).unwrap(), core.rdpmc(0, slot).unwrap());
+                by_event.insert(
+                    core.programmed_event(slot).unwrap(),
+                    core.rdpmc(0, slot).unwrap(),
+                );
             }
             by_event
         };

@@ -323,8 +323,10 @@ mod tests {
     #[test]
     fn keyed_poisson_mean_small_lambda() {
         let n = 20_000u64;
-        let mean =
-            (0..n).map(|k| poisson_from_seed(splitmix64(k), 3.5)).sum::<u64>() as f64 / n as f64;
+        let mean = (0..n)
+            .map(|k| poisson_from_seed(splitmix64(k), 3.5))
+            .sum::<u64>() as f64
+            / n as f64;
         assert!((mean - 3.5).abs() < 0.1, "mean {mean}");
     }
 

@@ -19,7 +19,10 @@ use aegis_par::derive_seed;
 use std::sync::{Arc, OnceLock};
 
 // The support bitmask packs one bit per feature into a u32.
-const _: () = assert!(Feature::COUNT <= 32, "support mask holds one bit per feature");
+const _: () = assert!(
+    Feature::COUNT <= 32,
+    "support mask holds one bit per feature"
+);
 
 /// Stream tag for per-(event, draw) measurement-noise seeds. XORed with
 /// the event id so every event owns an independent noise stream.
@@ -109,11 +112,17 @@ impl ResponseMatrix {
     /// The process-wide memoized matrix for a processor model, built once
     /// per process from the shared catalog.
     pub fn shared(arch: MicroArch) -> Arc<ResponseMatrix> {
-        static SHARED: [OnceLock<Arc<ResponseMatrix>>; 4] =
-            [OnceLock::new(), OnceLock::new(), OnceLock::new(), OnceLock::new()];
-        Arc::clone(SHARED[arch_slot(arch)].get_or_init(|| {
-            Arc::new(ResponseMatrix::from_catalog(&EventCatalog::shared(arch)))
-        }))
+        static SHARED: [OnceLock<Arc<ResponseMatrix>>; 4] = [
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+        ];
+        Arc::clone(
+            SHARED[arch_slot(arch)].get_or_init(|| {
+                Arc::new(ResponseMatrix::from_catalog(&EventCatalog::shared(arch)))
+            }),
+        )
     }
 
     /// The processor model the matrix was derived for.

@@ -595,13 +595,8 @@ mod tests {
             sample_drop: 1.0,
             ..FaultPlan::none()
         };
-        let mut obf = Obfuscator::with_faults(
-            stack(),
-            Box::new(ConstantOutput::new(0.5)),
-            cfg,
-            0,
-            plan,
-        );
+        let mut obf =
+            Obfuscator::with_faults(stack(), Box::new(ConstantOutput::new(0.5)), cfg, 0, plan);
         // Every published sample is dropped → after the stale threshold
         // the daemon injects at the clip ceiling instead of going quiet.
         let rates = drive(&mut obf, 40, 100.0);

@@ -22,7 +22,5 @@ mod daemon;
 mod stack;
 
 pub use baselines::{ConstantOutput, SecretConstantNoise, UniformRandomNoise};
-pub use daemon::{
-    Obfuscator, ObfuscatorConfig, STALE_INTERVALS_DEGRADED, STARVED_TICKS_DEGRADED,
-};
+pub use daemon::{Obfuscator, ObfuscatorConfig, STALE_INTERVALS_DEGRADED, STARVED_TICKS_DEGRADED};
 pub use stack::GadgetStack;

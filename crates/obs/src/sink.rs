@@ -59,7 +59,11 @@ fn open_sink() -> Option<Sink> {
     let dir = sink_dir(&std::env::current_dir().unwrap_or_default());
     std::fs::create_dir_all(&dir).ok()?;
     let path = dir.join(format!("run-{}.jsonl", run_id()));
-    let file = OpenOptions::new().create(true).append(true).open(&path).ok()?;
+    let file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .ok()?;
     Some(Sink {
         file,
         path,

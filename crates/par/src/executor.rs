@@ -81,7 +81,11 @@ impl Executor {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        self.map_with(items, |_worker| (), move |(), index, item| work(index, item))
+        self.map_with(
+            items,
+            |_worker| (),
+            move |(), index, item| work(index, item),
+        )
     }
 
     /// Like [`Executor::map`] but with a worker-local context built once

@@ -327,7 +327,10 @@ pub fn encode_frame(schema: &ColumnSchema, frame: &ColumnFrame) -> Vec<u8> {
             }
         }
         put_u32(&mut out, col.dtype());
-        put_u32(&mut out, u32::try_from(col.len()).expect("column length fits u32"));
+        put_u32(
+            &mut out,
+            u32::try_from(col.len()).expect("column length fits u32"),
+        );
         put_u64(&mut out, offset as u64);
         put_u64(&mut out, fnv64(&page));
         offset += page.len();
@@ -454,7 +457,9 @@ pub fn decode_frame(schema: &ColumnSchema, bytes: &[u8]) -> Result<ColumnFrame, 
                     .collect(),
             ),
             other => {
-                return Err(FrameError::new(format!("column {i}: unknown dtype {other}")))
+                return Err(FrameError::new(format!(
+                    "column {i}: unknown dtype {other}"
+                )))
             }
         });
     }

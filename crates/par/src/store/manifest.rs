@@ -346,9 +346,11 @@ impl Manifest {
                     kind: kind.clone(),
                     key: *key,
                 };
-                text.push_str(&serde_json::to_string(&pin).map_err(|err| {
-                    io::Error::new(io::ErrorKind::InvalidData, err.to_string())
-                })?);
+                text.push_str(
+                    &serde_json::to_string(&pin).map_err(|err| {
+                        io::Error::new(io::ErrorKind::InvalidData, err.to_string())
+                    })?,
+                );
                 text.push('\n');
                 compacted.apply(pin);
             }
@@ -376,10 +378,8 @@ mod tests {
     use std::path::Path;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "aegis-par-manifest-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("aegis-par-manifest-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

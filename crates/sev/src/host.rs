@@ -177,7 +177,9 @@ impl Host {
                 host_bg,
                 faults: plan,
             },
-            fault_state: (0..n_cores).map(|i| CoreFaultState::new(&plan, i)).collect(),
+            fault_state: (0..n_cores)
+                .map(|i| CoreFaultState::new(&plan, i))
+                .collect(),
         }
     }
 
@@ -284,10 +286,7 @@ impl Host {
             return Err(HostError::NoFreeCores);
         }
         for (i, &c) in cores.iter().enumerate() {
-            if c >= self.cores.len()
-                || self.assignment[c].is_some()
-                || cores[..i].contains(&c)
-            {
+            if c >= self.cores.len() || self.assignment[c].is_some() || cores[..i].contains(&c) {
                 return Err(HostError::NoFreeCores);
             }
         }
@@ -824,7 +823,11 @@ impl Host {
     ) -> Result<Vec<Vec<Trace>>, PerfError> {
         self.assert_distinct_cores(core_idxs);
         for row in &lanes {
-            assert_eq!(row.len(), core_idxs.len(), "lane row not aligned with core_idxs");
+            assert_eq!(
+                row.len(),
+                core_idxs.len(),
+                "lane row not aligned with core_idxs"
+            );
         }
         if lanes.is_empty() {
             return Ok(Vec::new());
@@ -968,7 +971,14 @@ impl Host {
             // Each worker copies what its lanes read on every tick: the
             // walk keeps writing this thread's stack, so reading these
             // through references would share cache lines with it.
-            |_| (CoreBatch::from_core_state(&base, 1), env, tile_core, base.clone()),
+            |_| {
+                (
+                    CoreBatch::from_core_state(&base, 1),
+                    env,
+                    tile_core,
+                    base.clone(),
+                )
+            },
             |(batch, env, tile_core, base), _, lane: ProbeLane<'a>| {
                 let _lane = aegis_obs::span("probe.lane");
                 lane.run(env, tile_core, base, batch)
@@ -1875,7 +1885,10 @@ mod tests {
             .attach_app(
                 victim,
                 0,
-                Box::new(PlanSource::new(steady_plan(200.0 + 13.0 * lane as f64, window_ns))),
+                Box::new(PlanSource::new(steady_plan(
+                    200.0 + 13.0 * lane as f64,
+                    window_ns,
+                ))),
             )
             .unwrap();
         replica
@@ -1978,9 +1991,8 @@ mod tests {
         let n_lanes = 20; // crosses the 16-lane tile for 2-core groups
         let batched = batched_pair_traces(&host, n_lanes, 1_000_000, 12_000_000).unwrap();
         for (lane, got) in batched.iter().enumerate() {
-            let want =
-                scalar_pair_traces(&host, victim, decoy, lane as u64, 1_000_000, 12_000_000)
-                    .unwrap();
+            let want = scalar_pair_traces(&host, victim, decoy, lane as u64, 1_000_000, 12_000_000)
+                .unwrap();
             for (w, g) in want.iter().zip(got) {
                 assert_eq!(w.data, g.data, "lane {lane} diverged under stall faults");
             }

@@ -148,7 +148,6 @@ fn dstar_defends_better_than_laplace_at_equal_epsilon() {
     );
 }
 
-
 #[test]
 fn deploy_all_covers_every_vcpu() {
     let mut host = Host::new(MicroArch::AmdEpyc7252, 4, 7);
@@ -257,6 +256,9 @@ fn offline_without_a_covering_gadget_is_a_typed_error() {
             assert_eq!(events.len(), 10, "{events:?}");
             assert!(events.iter().all(|e| !e.is_empty()));
         }
-        other => panic!("expected AegisError::Uncovered, got {:?}", other.map(|p| p.covering.len())),
+        other => panic!(
+            "expected AegisError::Uncovered, got {:?}",
+            other.map(|p| p.covering.len())
+        ),
     }
 }

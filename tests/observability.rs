@@ -189,13 +189,22 @@ fn run_log_validates_against_golden_schema() {
         last_seq = Some(seq);
         seen_kinds.insert(kind.to_string());
     }
-    assert!(seen_kinds.contains("span"), "no span events in {seen_kinds:?}");
+    assert!(
+        seen_kinds.contains("span"),
+        "no span events in {seen_kinds:?}"
+    );
     assert!(
         seen_kinds.contains("worker"),
         "no worker events in {seen_kinds:?}"
     );
-    assert!(seen_kinds.contains("event"), "no plain events in {seen_kinds:?}");
-    assert!(seen_kinds.contains("fault"), "no fault events in {seen_kinds:?}");
+    assert!(
+        seen_kinds.contains("event"),
+        "no plain events in {seen_kinds:?}"
+    );
+    assert!(
+        seen_kinds.contains("fault"),
+        "no fault events in {seen_kinds:?}"
+    );
 
     teardown(&[&obs_dir, &cache_dir]);
 }

@@ -276,7 +276,11 @@ fn unknown_ids_fail_only_when_there_is_a_probe() {
 /// does, also under plans that stall or detach the injector.
 #[test]
 fn an_injector_on_the_probed_vcpu_is_recorded_like_the_loop() {
-    let script: [Step; 3] = [(0, 1, 0, 30, 10), (2, 2, 4_000_000, 25, 5), (0, 0, 0, 20, 4)];
+    let script: [Step; 3] = [
+        (0, 1, 0, 30, 10),
+        (2, 2, 4_000_000, 25, 5),
+        (0, 0, 0, 20, 4),
+    ];
     let stalling = FaultPlan {
         seed: 3,
         injector_stall: 0.2,

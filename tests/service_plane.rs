@@ -79,15 +79,15 @@ fn flap_always() -> FaultPlan {
 #[test]
 fn watchdog_restart_recovers_and_resumes_injection() {
     let (mut host, vm, core) = fresh_host(7);
-    let cfg = ServiceConfig::new(quick_cfg(flap_always())).seed(7).supervisor(
-        SupervisorConfig {
+    let cfg = ServiceConfig::new(quick_cfg(flap_always()))
+        .seed(7)
+        .supervisor(SupervisorConfig {
             health_check_interval_ns: 5_000_000,
             unhealthy_checks_restart: 1,
             max_restarts: 5,
             restart_backoff_ns: 2_000_000,
             ..SupervisorConfig::default()
-        },
-    );
+        });
     let mut svc = AegisService::start(&mut host, cfg).unwrap();
     let id = svc.attach(vm, 0, shared_plan(), "acme").unwrap();
 
@@ -177,8 +177,11 @@ fn hot_reload_is_gapless_and_atomic() {
 
     // A: reload mid-run (same stack, so the noise series is comparable).
     let (mut ha, va, _) = fresh_host(7);
-    let mut a = AegisService::start(&mut ha, ServiceConfig::new(quick_cfg(FaultPlan::none())).seed(7))
-        .unwrap();
+    let mut a = AegisService::start(
+        &mut ha,
+        ServiceConfig::new(quick_cfg(FaultPlan::none())).seed(7),
+    )
+    .unwrap();
     let id = a.attach(va, 0, shared_plan(), "acme").unwrap();
     a.run(1_000_000);
     let receipt = a.reload(id, shared_plan()).unwrap();
@@ -189,8 +192,11 @@ fn hot_reload_is_gapless_and_atomic() {
 
     // B: the twin that never reloads, same total sim time.
     let (mut hb, vb, _) = fresh_host(7);
-    let mut b = AegisService::start(&mut hb, ServiceConfig::new(quick_cfg(FaultPlan::none())).seed(7))
-        .unwrap();
+    let mut b = AegisService::start(
+        &mut hb,
+        ServiceConfig::new(quick_cfg(FaultPlan::none())).seed(7),
+    )
+    .unwrap();
     b.attach(vb, 0, shared_plan(), "acme").unwrap();
     b.run(total_ns);
     let (tb, gen_b) = obf_state(&mut b, vb);

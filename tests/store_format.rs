@@ -62,7 +62,10 @@ fn golden_acs_layout_is_pinned_byte_for_byte() {
     let (schema, frame) = golden_frame();
     let bytes = encode_frame(&schema, &frame);
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(hex, GOLDEN_HEX, "the .acs byte layout is a compatibility contract");
+    assert_eq!(
+        hex, GOLDEN_HEX,
+        "the .acs byte layout is a compatibility contract"
+    );
 
     // The structural fields the layout doc promises, independently of
     // the full byte pin.
