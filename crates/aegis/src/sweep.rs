@@ -18,10 +18,11 @@
 //!   columnar `.acs` format whose pages are bit-exact images of the
 //!   in-memory `f64`/`u64` buffers — a warm-cache run is bit-identical
 //!   to a cold one and loads each artifact as a handful of bulk reads;
-//! * under an active fault plan the grid runs in worker-count chunks
-//!   through [`run_checkpointed`] (the same loop the fuzzer's recording
-//!   pass uses), so a run killed mid-grid resumes to a bit-identical
-//!   [`SweepOutcome`];
+//! * the cache is the sweep's one resume path: a run restarted over a
+//!   half-filled cache (killed mid-grid, or with a grown ε grid)
+//!   recomputes only the artifacts it misses, its cells bit-identical to
+//!   an uninterrupted run's, and its [`SweepOutcome`] counts its own
+//!   lookups;
 //! * its wall time is attributed by `aegis-obs` spans: `sweep.cell`
 //!   around the whole cell, with the nested `collect.dataset` /
 //!   `collect.mea` / `attack.train` spans and a `sweep.eval` span
@@ -35,10 +36,7 @@ use crate::evaluate::Attacker;
 use crate::pipeline::{DefenseDeployment, MechanismChoice};
 use aegis_microarch::EventId;
 use aegis_obs as obs;
-use aegis_par::{
-    derive_seed, fingerprint, run_checkpointed, ArtifactCache, ArtifactKey, ColumnFrame,
-    ColumnSchema, Columnar, Executor, FrameError, FrameReader, RowLog,
-};
+use aegis_par::{derive_seed, ArtifactCache, ArtifactKey, Columnar, Executor};
 use aegis_sev::{Host, VmId};
 
 /// Stream tags separating the independent RNG consumers of one sweep
@@ -137,83 +135,6 @@ fn cached<T: Columnar>(
     Ok(value)
 }
 
-/// The checkpointable payload of a partially evaluated grid: per-cell
-/// accuracy and cache traffic, in unit order.
-struct CellLog {
-    acc: Vec<f64>,
-    hits: Vec<u64>,
-    misses: Vec<u64>,
-}
-
-impl RowLog for CellLog {
-    type Row = (f64, CellStats);
-
-    fn of(rows: &[(f64, CellStats)]) -> CellLog {
-        CellLog {
-            acc: rows.iter().map(|(acc, _)| *acc).collect(),
-            hits: rows.iter().map(|(_, stats)| stats.hits).collect(),
-            misses: rows.iter().map(|(_, stats)| stats.misses).collect(),
-        }
-    }
-
-    fn into_rows(self) -> Vec<(f64, CellStats)> {
-        self.acc
-            .into_iter()
-            .zip(self.hits)
-            .zip(self.misses)
-            .map(|((acc, hits), misses)| (acc, CellStats { hits, misses }))
-            .collect()
-    }
-}
-
-impl Columnar for CellLog {
-    fn schema() -> ColumnSchema {
-        ColumnSchema::new("aegis/sweep-cells", 1)
-    }
-
-    fn encode_columns(&self, frame: &mut ColumnFrame) {
-        frame.push_f64(self.acc.clone());
-        frame.push_u64(self.hits.clone());
-        frame.push_u64(self.misses.clone());
-    }
-
-    fn decode_columns(reader: &mut FrameReader) -> Result<Self, FrameError> {
-        let acc = reader.f64s()?;
-        let hits = reader.u64s()?;
-        let misses = reader.u64s()?;
-        if hits.len() != acc.len() || misses.len() != acc.len() {
-            return Err(FrameError::new(format!(
-                "sweep-cells: misaligned columns ({} acc, {} hits, {} misses)",
-                acc.len(),
-                hits.len(),
-                misses.len()
-            )));
-        }
-        Ok(CellLog { acc, hits, misses })
-    }
-}
-
-/// A stable fingerprint of the sweep-wide settings, folded into the
-/// checkpoint key so a changed grid or budget never resumes a stale
-/// checkpoint. The victim count sits in the traces or the runs slot by
-/// attacker, so the two attackers' keys never collide.
-fn sweep_fingerprint<A: Attacker>(cfg: &SweepConfig) -> u64 {
-    let victim = cfg.victim_per_secret as u64;
-    let (traces, runs) = if A::SWEEP == "mea" {
-        (0, victim)
-    } else {
-        (victim, 0)
-    };
-    fingerprint(&(
-        &cfg.eps_grid,
-        cfg.seed,
-        cfg.host_seed,
-        traces,
-        cfg.robust_per_secret as u64,
-        runs,
-    ))
-}
-
 /// The seed of one grid cell: a pure function of the sweep seed, the ε
 /// value, and the mechanism index — independent of grid position and
 /// worker assignment.
@@ -283,64 +204,45 @@ pub fn run_sweep<A: Attacker>(
     cache: &ArtifactCache,
 ) -> Result<SweepOutcome, AegisError> {
     let units = grid_units(cfg);
-    let ckpt_key = ArtifactKey::of(
-        "sweep-ckpt",
-        &(
-            A::SWEEP,
-            clean_attacker.is_some(),
-            A::data_key(cfg.host_seed, target, events, collect, Some(base)).key,
-            sweep_fingerprint::<A>(cfg),
-        ),
-    );
-    let eval = |chunk: &[(f64, usize)]| {
-        Executor::from_config().map(chunk.to_vec(), |_unit, (eps, mech_idx)| {
-            let _cell = obs::span("sweep.cell");
-            let mut stats = CellStats::default();
-            let seed = cell_seed(cfg, eps, mech_idx);
-            let deployment = DefenseDeployment {
-                stack: base.stack.clone(),
-                mechanism: mechanism(mech_idx, eps),
-                obfuscator: base.obfuscator,
-            };
-            // One defended collection of this cell: `per_secret` traces
-            // (MEA: runs) per secret on the cell stream `stream`.
-            let mut defended = |per_secret: usize, stream: u64| {
-                let c = A::configure(collect, per_secret, derive_seed(seed, stream, 0));
-                let d = Some(&deployment);
-                cached(
-                    cache,
-                    &A::data_key(cfg.host_seed, target, events, &c, d),
-                    &mut stats,
-                    || A::collect(host, vm, vcpu, target, events, &c, d),
-                )
-            };
-            let victim = defended(cfg.victim_per_secret, STREAM_VICTIM)?;
-            let robust;
-            let attacker = match clean_attacker {
-                Some(attacker) => attacker,
-                None => {
-                    // Robust attacker: trains AND tests on defended data.
-                    let noisy = defended(cfg.robust_per_secret, STREAM_TRAIN)?;
-                    let model_seed = derive_seed(seed, STREAM_MODEL, 0);
-                    robust = cached(cache, &A::model_key(&noisy, model_seed), &mut stats, || {
-                        Ok(A::fit(&noisy, model_seed))
-                    })?;
-                    &robust
-                }
-            };
-            let _eval = obs::span("sweep.eval");
-            Ok((attacker.score(&victim), stats))
-        })
-    };
-    let results = run_checkpointed::<CellLog, _, AegisError, _>(
-        cache,
-        &cache.fault_plan(),
-        &ckpt_key,
-        "sweep",
-        &units,
-        Executor::from_config().threads(),
-        |chunk| eval(chunk).into_iter().collect(),
-    )?;
+    let results = Executor::from_config().map(units.clone(), |_unit, (eps, mech_idx)| {
+        let _cell = obs::span("sweep.cell");
+        let mut stats = CellStats::default();
+        let seed = cell_seed(cfg, eps, mech_idx);
+        let deployment = DefenseDeployment {
+            stack: base.stack.clone(),
+            mechanism: mechanism(mech_idx, eps),
+            obfuscator: base.obfuscator,
+        };
+        // One defended collection of this cell: `per_secret` traces
+        // (MEA: runs) per secret on the cell stream `stream`.
+        let mut defended = |per_secret: usize, stream: u64| {
+            let c = A::configure(collect, per_secret, derive_seed(seed, stream, 0));
+            let d = Some(&deployment);
+            cached(
+                cache,
+                &A::data_key(cfg.host_seed, target, events, &c, d),
+                &mut stats,
+                || A::collect(host, vm, vcpu, target, events, &c, d),
+            )
+        };
+        let victim = defended(cfg.victim_per_secret, STREAM_VICTIM)?;
+        let robust;
+        let attacker = match clean_attacker {
+            Some(attacker) => attacker,
+            None => {
+                // Robust attacker: trains AND tests on defended data.
+                let noisy = defended(cfg.robust_per_secret, STREAM_TRAIN)?;
+                let model_seed = derive_seed(seed, STREAM_MODEL, 0);
+                robust = cached(cache, &A::model_key(&noisy, model_seed), &mut stats, || {
+                    Ok(A::fit(&noisy, model_seed))
+                })?;
+                &robust
+            }
+        };
+        let _eval = obs::span("sweep.eval");
+        Ok((attacker.score(&victim), stats))
+    });
+    let results = results.into_iter().collect::<Result<_, AegisError>>()?;
     Ok(assemble(units, results))
 }
 
@@ -348,6 +250,7 @@ pub fn run_sweep<A: Attacker>(
 mod tests {
     use super::*;
     use crate::evaluate::{ClassifierAttack, CollectConfig, MeaAttack, MeaConfig};
+    use aegis_faults::FaultPlan;
     use aegis_fuzzer::Gadget;
     use aegis_isa::{IsaCatalog, Vendor, WellKnown};
     use aegis_microarch::MicroArch;
@@ -416,16 +319,21 @@ mod tests {
     }
 
     /// Runs `check` once per attacker: the keystroke classifier and the
-    /// model-extraction attacker, each on its quick settings.
-    fn for_each_attacker(check: impl Fn(&dyn Fn(&ArtifactCache) -> SweepOutcome, &str)) {
+    /// model-extraction attacker, each on its quick settings. The sweep
+    /// it hands `check` runs the first `rows` values of the ε grid.
+    fn for_each_attacker(check: impl Fn(&dyn Fn(&ArtifactCache, usize) -> SweepOutcome, &str)) {
         let (host, vm) = host_vm(3);
         let core = host.core_of(vm, 0).unwrap();
         let events = host.core(core).catalog().attack_events().to_vec();
         let deployment = test_deployment(&host);
         let app = KeystrokeApp::with_window(300_000_000);
         let (collect, cfg) = (quick_collect(), quick_sweep_cfg());
+        let rows = |cfg: &SweepConfig, rows: usize| SweepConfig {
+            eps_grid: cfg.eps_grid[..rows].to_vec(),
+            ..cfg.clone()
+        };
         check(
-            &|cache| {
+            &|cache, n| {
                 run_sweep::<ClassifierAttack>(
                     &host,
                     vm,
@@ -435,7 +343,7 @@ mod tests {
                     &collect,
                     &deployment,
                     None,
-                    &cfg,
+                    &rows(&cfg, n),
                     cache,
                 )
                 .unwrap()
@@ -445,7 +353,7 @@ mod tests {
         let zoo = DnnZoo::new(7);
         let (mea, mea_cfg) = quick_mea();
         check(
-            &|cache| {
+            &|cache, n| {
                 run_sweep::<MeaAttack>(
                     &host,
                     vm,
@@ -455,7 +363,7 @@ mod tests {
                     &mea,
                     &deployment,
                     None,
-                    &mea_cfg,
+                    &rows(&mea_cfg, n),
                     cache,
                 )
                 .unwrap()
@@ -482,95 +390,69 @@ mod tests {
         assert_ne!(cell_seed(&cfg, 0.25, 1), before);
     }
 
+    /// The artifacts `cache` holds intact: a torn write lands its half
+    /// file at the final path but never journals it.
+    fn intact_artifacts(cache: &ArtifactCache) -> u64 {
+        let names = std::fs::read_dir(cache.dir()).unwrap();
+        let journaled = |name: &str| {
+            let stem = name.strip_suffix(".acs")?;
+            let (kind, key) = stem.rsplit_once('-')?;
+            let key = u64::from_str_radix(key, 16).ok()?;
+            cache.manifest().entry(kind, key)
+        };
+        names
+            .filter(|e| journaled(&e.as_ref().unwrap().file_name().to_string_lossy()).is_some())
+            .count() as u64
+    }
+
     #[test]
     fn robust_sweep_is_deterministic_and_counts_cache_traffic() {
         for_each_attacker(|sweep, tag| {
-            let dir =
-                std::env::temp_dir().join(format!("aegis-sweep-test-{tag}-{}", std::process::id()));
-            let cache = ArtifactCache::new(&dir);
-            let cold = sweep(&cache);
-            let warm = sweep(&cache);
-            let _ = std::fs::remove_dir_all(&dir);
-
-            // 2 ε × 2 mechanisms × (victim + noisy + model) artifacts.
-            assert_eq!(cold.cache_hits, 0, "{tag}");
-            assert_eq!(cold.cache_misses, 12, "{tag}");
-            assert_eq!(warm.cache_hits, 12, "{tag}");
-            assert_eq!(warm.cache_misses, 0, "{tag}");
-            // Warm results are bit-identical to cold ones.
-            assert_eq!(cold.cells, warm.cells, "{tag}");
-            assert_eq!(cold.rows().len(), 2, "{tag}");
-            for cell in &cold.cells {
-                assert!((0.0..=1.0).contains(&cell.accuracy), "{tag} {cell:?}");
-            }
-        });
-    }
-
-    #[test]
-    fn cell_log_roundtrips_and_rejects_misaligned_columns() {
-        let log = CellLog {
-            acc: vec![0.5, 0.25, 1.0],
-            hits: vec![0, 2, 1],
-            misses: vec![3, 1, 2],
-        };
-        let back = CellLog::from_frame(log.to_frame()).unwrap();
-        assert_eq!(back.acc, log.acc);
-        assert_eq!(back.hits, log.hits);
-        assert_eq!(back.misses, log.misses);
-
-        let mut frame = ColumnFrame::new();
-        frame.push_f64(vec![0.5, 0.25]);
-        frame.push_u64(vec![1]);
-        frame.push_u64(vec![2, 3]);
-        assert!(CellLog::from_frame(frame).is_err(), "misaligned columns");
-    }
-
-    #[test]
-    fn killed_sweep_resumes_bit_identically() {
-        use aegis_faults::FaultPlan;
-
-        for_each_attacker(|sweep, tag| {
-            let run_with = |plan: FaultPlan, dir: &std::path::Path| {
-                sweep(&ArtifactCache::with_faults(dir, plan))
-            };
             let tmp = |run: &str| {
                 let d = std::env::temp_dir().join(format!(
-                    "aegis-sweep-ckpt-{tag}-{run}-{}",
+                    "aegis-sweep-test-{tag}-{run}-{}",
                     std::process::id()
                 ));
                 let _ = std::fs::remove_dir_all(&d);
                 d
             };
-            // Reference: an active but sweep-irrelevant plan, so
-            // checkpointing is armed in both runs and outcomes stay
-            // comparable.
-            let base = FaultPlan {
-                seed: 5,
-                tick_jitter: 0.5,
-                ..FaultPlan::none()
-            };
-            let dir_ref = tmp("ref");
-            let reference = run_with(base, &dir_ref);
-
-            // Kill the grid mid-run, then resume it from the persisted
-            // checkpoint in the same cache.
-            let kill_plan = FaultPlan {
-                kill_after: 2,
-                ..base
-            };
-            let dir_kill = tmp("kill");
-            let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_with(kill_plan, &dir_kill)
-            }));
-            assert!(
-                killed.is_err(),
-                "{tag}: the injected kill must abort the run"
+            // 2 ε × 2 mechanisms × (victim + noisy + model) artifacts.
+            // Under the ambient plan a torn write turns that artifact's
+            // warm hit into a miss; the cells stay bit-identical.
+            let ambient_dir = tmp("ambient");
+            let ambient = ArtifactCache::new(&ambient_dir);
+            let cold = sweep(&ambient, 2);
+            let stored = intact_artifacts(&ambient);
+            let warm = sweep(&ambient, 2);
+            let _ = std::fs::remove_dir_all(&ambient_dir);
+            assert_eq!((cold.cache_hits, cold.cache_misses), (0, 12), "{tag}");
+            assert_eq!(
+                warm.cache_hits, stored,
+                "{tag}: one hit per intact artifact"
             );
-            let resumed = run_with(kill_plan, &dir_kill);
-            assert_eq!(reference, resumed, "{tag}");
+            assert_eq!(warm.cache_hits + warm.cache_misses, 12, "{tag}");
+            assert_eq!(warm.cells, cold.cells, "{tag}");
+            assert_eq!(cold.rows().len(), 2, "{tag}");
+            for cell in &cold.cells {
+                assert!((0.0..=1.0).contains(&cell.accuracy), "{tag} {cell:?}");
+            }
 
-            let _ = std::fs::remove_dir_all(&dir_ref);
-            let _ = std::fs::remove_dir_all(&dir_kill);
+            // The exact counts are defined without torn writes. A sweep
+            // restarted over a half-filled cache recomputes only what it
+            // misses and counts its own lookups.
+            let dir = tmp("exact");
+            let cache = ArtifactCache::with_faults(&dir, FaultPlan::none());
+            let first = sweep(&cache, 1);
+            let resumed = sweep(&cache, 2);
+            let warm = sweep(&cache, 2);
+            let _ = std::fs::remove_dir_all(&dir);
+            let traffic = |run: &SweepOutcome| (run.cache_hits, run.cache_misses);
+            assert_eq!(traffic(&first), (0, 6), "{tag}");
+            assert_eq!(traffic(&resumed), (6, 6), "{tag}");
+            assert_eq!(traffic(&warm), (12, 0), "{tag}");
+            assert_eq!(first.cells, cold.cells[..2], "{tag}");
+            assert_eq!(resumed.cells, cold.cells, "{tag}");
+            assert_eq!(warm.cells, cold.cells, "{tag}");
         });
     }
 

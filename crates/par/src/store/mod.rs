@@ -10,8 +10,8 @@
 //!   gives the store an explicit [`Manifest::gc`] entry point with a
 //!   size budget, and fails closed when corrupt.
 //! - [`checkpoint`]: [`Checkpoint`], the generic resumable-partial-
-//!   result wrapper, and [`run_checkpointed`], the one resume loop every
-//!   chunked grid runs through.
+//!   result wrapper, and [`run_checkpointed`], the one resume loop of
+//!   every checkpointed grid.
 //!
 //! [`crate::ArtifactCache`] composes all three behind its `get_col` /
 //! `put_col` / `pin` / `gc` methods.

@@ -9,6 +9,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== cargo fmt --check (first-party packages) =="
+# Formatting drift fails fast. The root package and every crate under
+# crates/ are named one by one: the vendored stand-ins are workspace
+# members too, but they are not ours to format.
+cargo fmt --check -p aegis-suite -p aegis -p aegis-attack -p aegis-bench \
+    -p aegis-dp -p aegis-faults -p aegis-fuzzer -p aegis-isa -p aegis-microarch \
+    -p aegis-obfuscator -p aegis-obs -p aegis-par -p aegis-perf -p aegis-profiler \
+    -p aegis-sev -p aegis-workloads
+
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
@@ -62,8 +71,9 @@ echo "== fault matrix (AEGIS_FAULTS=smoke) =="
 # The cross-crate fault-injection properties re-run under the moderate
 # every-site smoke plan: supervised recovery paths (watchdog latching,
 # slot re-programming, torn-artifact recompute) stay green with faults
-# actually firing. Only this test binary runs under the smoke plan —
-# unit suites always see the ambient (fault-free) environment.
+# actually firing. The steps below re-run further named suites under the
+# smoke plan; the rest of the unit suites see the ambient (fault-free)
+# environment.
 AEGIS_FAULTS=smoke cargo test -q --test fault_injection
 
 echo "== profiler probe matrix (AEGIS_FAULTS=smoke) =="
@@ -122,6 +132,25 @@ echo "== observability matrix (AEGIS_FAULTS=smoke) =="
 # log, so the log must still validate against the golden schema (which
 # lists the `fault` kind) and stay write-only.
 AEGIS_FAULTS=smoke cargo test -q --test observability
+
+echo "== artifact cache unit tests (AEGIS_FAULTS=smoke) =="
+# The aegis-par suite re-runs with the cache torn-write site live: tests
+# of torn writes arm it themselves, and tests whose property is defined
+# without faults state FaultPlan::none(), so none leans on the ambient
+# plan being off.
+AEGIS_FAULTS=smoke cargo test -q -p aegis-par
+
+echo "== parallel determinism (AEGIS_FAULTS=smoke) =="
+# The determinism contract (any worker count, any AEGIS_OBS level, cold
+# or warm cache) must hold with faults firing on the hosts; exact cache
+# traffic is asserted on a cache that states a fault-free plan.
+AEGIS_FAULTS=smoke cargo test -q --test parallel_determinism
+
+echo "== ε-sweep unit tests (AEGIS_FAULTS=smoke) =="
+# The ε-sweep resumes only through its artifact cache, so each run
+# counts its own lookups whatever the ambient plan: a restarted sweep
+# recomputes exactly what the cache misses.
+AEGIS_FAULTS=smoke cargo test -q -p aegis --lib sweep::
 
 echo "== deprecation lint (examples) =="
 # Examples must stay on the current API surface: nothing we present as
