@@ -107,16 +107,6 @@ impl Collector {
         }
     }
 
-    /// The active trace-collection settings.
-    pub fn collect_config(&self) -> &CollectConfig {
-        &self.collect
-    }
-
-    /// The active MEA-collection settings.
-    pub fn mea_config(&self) -> &MeaConfig {
-        &self.mea
-    }
-
     /// Collects a labeled HPC-trace dataset of `app` running in `vm`, as
     /// observed by the *host* (the attacker's view: every counter on the
     /// guest's core, app and injected noise indistinguishable).

@@ -23,21 +23,16 @@
 //!   whose record reads torn is *quarantined*, never re-placed;
 //! - a cross-tenant honest-but-curious attacker
 //!   ([`cross_tenant_accuracy`]) measures what sibling co-residency
-//!   leaks under each policy, and [`fleet_sweep`] persists
-//!   (policy × storm-seed) grid cells through the columnar store with
-//!   checkpoint-resume.
+//!   leaks under each policy.
 //!
 //! Everything is a pure function of `(config, seeds, fault plan)`:
-//! fleet runs replay bit-identically at any `aegis-par` worker count,
-//! and a killed sweep resumes to bit-identical cells.
+//! fleet runs replay bit-identically at any `aegis-par` worker count.
 
 mod attack;
 mod placement;
-mod sweep;
 
 pub use attack::{cross_tenant_accuracy, policy_attack_table, CrossTenantConfig, PolicyAttackCell};
 pub use placement::{FleetTopology, Placement, PlacementPolicy, Scheduler};
-pub use sweep::{fleet_sweep, FleetCellOutcome, FleetSweepConfig, FleetSweepOutcome};
 
 use crate::error::AegisError;
 use crate::plan::DefensePlan;

@@ -37,19 +37,9 @@ impl FleetTopology {
         self.sockets_per_host * self.pairs_per_socket
     }
 
-    /// The pair a core belongs to.
-    pub fn pair_of(core: usize) -> usize {
-        core / 2
-    }
-
     /// The SMT sibling of a core.
     pub fn sibling_of(core: usize) -> usize {
         core ^ 1
-    }
-
-    /// The socket a core belongs to.
-    pub fn socket_of(&self, core: usize) -> usize {
-        FleetTopology::pair_of(core) / self.pairs_per_socket
     }
 
     pub(crate) fn validate(&self) -> Result<(), AegisError> {
@@ -99,16 +89,6 @@ impl PlacementPolicy {
             PlacementPolicy::CorePairExclusive => "core-pair-exclusive",
             PlacementPolicy::Packed => "packed",
             PlacementPolicy::Spread => "spread",
-        }
-    }
-
-    /// Stable numeric tag folded into content-addressed cell seeds.
-    pub(crate) fn tag(&self) -> u64 {
-        match self {
-            PlacementPolicy::SmtOff => 0,
-            PlacementPolicy::CorePairExclusive => 1,
-            PlacementPolicy::Packed => 2,
-            PlacementPolicy::Spread => 3,
         }
     }
 

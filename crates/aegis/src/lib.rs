@@ -62,10 +62,9 @@ pub use evaluate::{
     MeaRun, MeaRunLog, RunMeasurement, BLANK,
 };
 pub use fleet::{
-    cross_tenant_accuracy, fleet_sweep, policy_attack_table, storm_schedule, CrossTenantConfig,
-    FleetCellOutcome, FleetConfig, FleetHealth, FleetReport, FleetSupervisor, FleetSweepConfig,
-    FleetSweepOutcome, FleetTopology, HostState, Placement, PlacementPolicy, PolicyAttackCell,
-    Scheduler, StormHit, TenantOutcome, TenantStatus,
+    cross_tenant_accuracy, policy_attack_table, storm_schedule, CrossTenantConfig, FleetConfig,
+    FleetHealth, FleetReport, FleetSupervisor, FleetTopology, HostState, Placement,
+    PlacementPolicy, PolicyAttackCell, Scheduler, StormHit, TenantOutcome, TenantStatus,
 };
 pub use pipeline::{
     AegisConfig, AegisConfigBuilder, AegisPipeline, DefenseDeployment, Deployment, MechanismChoice,

@@ -56,16 +56,6 @@ impl Mat {
         }
     }
 
-    /// Builds a matrix from a flat buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_flat(data: Vec<f64>, rows: usize, cols: usize) -> Self {
-        assert_eq!(data.len(), rows * cols, "flat buffer/dims mismatch");
-        Mat { data, rows, cols }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -118,11 +108,6 @@ impl Mat {
     /// The whole buffer, row-major.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// The whole buffer, mutable (e.g. `fill(0.0)` to reuse scratch).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Zeroes every element in place, keeping the allocation.

@@ -115,10 +115,10 @@ pub struct FaultPlan {
     /// Probability per `ArtifactCache::put` that the write is torn
     /// (legacy non-atomic path: truncated JSON at the final path).
     pub cache_torn: f64,
-    /// If nonzero, whichever checkpointed grid is running (the fuzzer's
-    /// recording pass or a fleet sweep; never an ε-sweep, which resumes
-    /// through its artifact cache) aborts (panics) after this many
-    /// completed units — used to exercise checkpoint/resume.
+    /// If nonzero, the fuzzer's recording pass, the one checkpointed
+    /// grid, aborts (panics) after this many completed units — used to
+    /// exercise checkpoint/resume. (The ε-sweep keeps no checkpoint: it
+    /// resumes through its artifact cache and is never killed.)
     pub kill_after: u64,
     /// Probability per service-plane health check that a healthy
     /// session is spuriously reported unhealthy (watchdog flap).

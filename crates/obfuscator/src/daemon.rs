@@ -541,7 +541,13 @@ mod tests {
         };
         // App runs at 400 uops/us → 400·interval_us counts per interval,
         // i.e. that over S in normalized units; fill to peak 6.0.
-        let mut obf = Obfuscator::new(stack(), Box::new(ConstantOutput::new(6.0)), cfg);
+        let mut obf = Obfuscator::with_faults(
+            stack(),
+            Box::new(ConstantOutput::new(6.0)),
+            cfg,
+            0,
+            FaultPlan::none(),
+        );
         drive(&mut obf, 1000, 400.0); // 100 ms
         let n_intervals = 100_000_000 / cfg.interval_ns;
         let per_interval = obf.injected_counts() / n_intervals as f64 / cfg.noise_scale_counts;
@@ -688,13 +694,24 @@ mod tests {
     #[test]
     fn inert_plan_matches_no_fault_layer() {
         let cfg = ObfuscatorConfig::default();
-        let mut a = Obfuscator::new(stack(), Box::new(LaplaceMechanism::new(1.0, 3)), cfg);
-        let mut b = Obfuscator::with_faults(
+        let mut a = Obfuscator::with_faults(
             stack(),
             Box::new(LaplaceMechanism::new(1.0, 3)),
             cfg,
             0,
             FaultPlan::none(),
+        );
+        // Inert whatever its seed: no fault stream is ever drawn.
+        let inert = FaultPlan {
+            seed: 0x5eed,
+            ..FaultPlan::none()
+        };
+        let mut b = Obfuscator::with_faults(
+            stack(),
+            Box::new(LaplaceMechanism::new(1.0, 3)),
+            cfg,
+            0,
+            inert,
         );
         let ra = drive(&mut a, 500, 300.0);
         let rb = drive(&mut b, 500, 300.0);
@@ -766,7 +783,13 @@ mod tests {
             reload_torn: 1.0,
             ..FaultPlan::none()
         };
-        let mut clean = Obfuscator::new(stack(), Box::new(LaplaceMechanism::new(1.0, 4)), cfg);
+        let mut clean = Obfuscator::with_faults(
+            stack(),
+            Box::new(LaplaceMechanism::new(1.0, 4)),
+            cfg,
+            0,
+            FaultPlan::none(),
+        );
         let mut torn = Obfuscator::with_faults(
             stack(),
             Box::new(LaplaceMechanism::new(1.0, 4)),

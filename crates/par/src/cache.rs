@@ -88,14 +88,6 @@ impl ArtifactCache {
         &self.manifest
     }
 
-    /// The fault plan captured at construction: it arms this cache's
-    /// torn-write site, and `fleet_sweep` keys its checkpoint loop off
-    /// the same plan (the ε-sweep keeps none), so one `with_faults` call
-    /// arms both consistently.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.faults
-    }
-
     /// The file that would hold the JSON metadata record at `key`.
     pub fn json_path(&self, key: &ArtifactKey) -> PathBuf {
         self.dir.join(format!("{}-{:016x}.json", key.kind, key.key))

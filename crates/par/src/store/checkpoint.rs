@@ -1,9 +1,8 @@
 //! Generic checkpoint-resume over any columnar payload.
 //!
-//! The long chunked grids whose units are memoized nowhere else — the
-//! fuzzer's recording pass and the fleet sweep — persist `(completed,
-//! partial results)` at chunk boundaries and resume from the pair after
-//! a kill. [`Checkpoint`] wraps any [`Columnar`] payload with a
+//! A long chunked grid whose units are memoized nowhere else — the
+//! fuzzer's recording pass — persists `(completed, partial results)` at
+//! chunk boundaries and resumes from the pair after a kill. [`Checkpoint`] wraps any [`Columnar`] payload with a
 //! `completed` counter, encoded as the payload's columns plus one
 //! trailing `u64` bookkeeping column, so the checkpoint rides the same
 //! torn-write-detected binary format as every other artifact.

@@ -1794,7 +1794,9 @@ mod tests {
 
     #[test]
     fn forced_fail_closed_latch_is_permanent_without_injector() {
-        let (mut host, vm) = host_with_vm();
+        // The release below is a fault-free property.
+        let mut host = Host::with_faults(MicroArch::AmdEpyc7252, 8, 3, FaultPlan::none());
+        let vm = host.launch_vm(4, SevMode::SevSnp).unwrap();
         let core = host.core_of(vm, 0).unwrap();
         assert!(!host.has_injector(vm, 0).unwrap());
         assert_eq!(host.injector_status(vm, 0).unwrap(), None);

@@ -120,11 +120,12 @@ AEGIS_FAULTS=smoke cargo test -q --test store_format
 echo "== fleet matrix (AEGIS_FAULTS=smoke) =="
 # The fleet-plane contracts (seeded chaos storms with fail-closed
 # evacuation, clean-twin bit-equality of crashed and surviving hosts,
+# zero reads of a crashed host through the lane-batched recorder,
 # ε-ledger carry and quarantine across hosts, storm-schedule replay at
-# any worker count, checkpoint-resume of the policy × storm-seed sweep)
-# re-run under the smoke plan. Fleets pass explicit FaultPlans into
-# every host and sweep cell, so only the ArtifactCache checkpoint loops
-# see the ambient plan: the simulated physics must not move.
+# any worker count) re-run under the smoke plan. Every fleet passes an
+# explicit FaultPlan into each of its hosts and service planes, so
+# nothing in the suite sees the ambient plan: the simulated physics
+# must not move.
 AEGIS_FAULTS=smoke cargo test -q --test fleet_plane
 
 echo "== observability matrix (AEGIS_FAULTS=smoke) =="
@@ -151,6 +152,21 @@ echo "== ε-sweep unit tests (AEGIS_FAULTS=smoke) =="
 # counts its own lookups whatever the ambient plan: a restarted sweep
 # recomputes exactly what the cache misses.
 AEGIS_FAULTS=smoke cargo test -q -p aegis --lib sweep::
+
+echo "== obfuscator and host unit tests (AEGIS_FAULTS=smoke) =="
+# Daemon and host properties that involve faults arm their own plans;
+# those defined without faults (an inert plan matching a fault-free
+# daemon, a torn reload against its clean twin, constant-output fill,
+# a forced fail-closed latch released by a healthy injector) state
+# FaultPlan::none(), so none leans on the ambient plan being off.
+AEGIS_FAULTS=smoke cargo test -q -p aegis-obfuscator -p aegis-sev --lib
+
+echo "== end-to-end defense (AEGIS_FAULTS=smoke) =="
+# The flagship loop (attack succeeds undefended, the defense collapses
+# it, overhead stays bounded) must hold with faults firing; the one
+# test pinned to a fault-free seed (no covering gadget) states
+# FaultPlan::none() for its host and pipeline.
+AEGIS_FAULTS=smoke cargo test -q --test end_to_end_defense
 
 echo "== deprecation lint (examples) =="
 # Examples must stay on the current API surface: nothing we present as

@@ -9,7 +9,7 @@ use aegis::sev::{Host, SevMode, VmId};
 use aegis::workloads::{KeystrokeApp, SecretApp};
 use aegis::{
     measure_app_run, AegisConfig, AegisPipeline, Attacker, ClassifierAttack, CollectConfig,
-    Collector, DefenseDeployment, MechanismChoice,
+    Collector, DefenseDeployment, FaultPlan, MechanismChoice,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -223,10 +223,12 @@ fn defense_plan_survives_serialization_roundtrip() {
 /// `aegis offline --app dnn --seed 252`: fuzzing confirms no gadget for
 /// any top-ranked event. The pipeline must say so with a typed error
 /// naming those events, not panic while calibrating an empty stack.
+/// The seed's outcome is defined fault-free, so host and pipeline pin
+/// `FaultPlan::none()` whatever `AEGIS_FAULTS` says.
 #[test]
 fn offline_without_a_covering_gadget_is_a_typed_error() {
     let seed = 252;
-    let mut host = Host::new(MicroArch::AmdEpyc7252, 2, seed);
+    let mut host = Host::with_faults(MicroArch::AmdEpyc7252, 2, seed, FaultPlan::none());
     let vm = host.launch_vm(1, SevMode::SevSnp).unwrap();
     let cfg = AegisConfig::builder()
         .warmup(WarmupConfig {
@@ -248,6 +250,7 @@ fn offline_without_a_covering_gadget_is_a_typed_error() {
         })
         .fuzz_top_events(10)
         .isa_seed(seed)
+        .faults(FaultPlan::none())
         .build()
         .unwrap();
     let app = aegis::workloads::DnnZoo::new(seed);

@@ -1,13 +1,12 @@
 //! Fleet-plane contracts: seeded chaos storms with fail-closed
 //! evacuation, clean-twin bit-equality of crashed and surviving hosts,
 //! ε-ledger carry (and pin-protection) across hosts, quarantine on torn
-//! records, worker-count determinism, and checkpoint-resume of the
-//! (policy × storm seed) sweep.
+//! records, and worker-count determinism.
 //!
 //! This binary is part of the CI fault matrix: `scripts/check.sh`
 //! re-runs it under `AEGIS_FAULTS=smoke`, so every test passes explicit
-//! [`FaultPlan`]s into the fleets it builds (cells and fleets never read
-//! the ambient plan; only `ArtifactCache` checkpoint loops do).
+//! [`FaultPlan`]s into the fleets it builds (fleets never read the
+//! ambient plan).
 
 use aegis::fuzzer::FuzzerConfig;
 use aegis::microarch::{named, MicroArch, OriginFilter};
@@ -16,9 +15,9 @@ use aegis::profiler::{RankConfig, WarmupConfig};
 use aegis::sev::{Host, SevMode};
 use aegis::workloads::{KeystrokeApp, SecretApp};
 use aegis::{
-    fleet_sweep, storm_schedule, AegisConfig, AegisPipeline, DefensePlan, FaultPlan, FleetConfig,
-    FleetReport, FleetSupervisor, FleetSweepConfig, FleetTopology, HostState, MechanismChoice,
-    PlacementPolicy, ServiceConfig, TenantStatus,
+    storm_schedule, AegisConfig, AegisPipeline, DefensePlan, FaultPlan, FleetConfig, FleetReport,
+    FleetSupervisor, FleetTopology, HostState, MechanismChoice, PlacementPolicy, ServiceConfig,
+    TenantStatus,
 };
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -304,6 +303,42 @@ fn crashed_host_reads_zero_and_unaffected_hosts_match_the_clean_twin() {
         "the clean twin must observe activity"
     );
 
+    // The lane-batched recorder reads the dead pair as zero too, even
+    // for a lane that runs its own app plan on the victim's core.
+    use aegis::sev::{LaneGuest, PlanSource};
+    use rand::SeedableRng;
+    let plan = app().sample_plan(0, &mut rand::rngs::StdRng::seed_from_u64(7));
+    let lanes = vec![
+        vec![
+            LaneGuest {
+                app: Some(Box::new(PlanSource::new(plan))),
+                injector: None,
+            },
+            LaneGuest::default(),
+        ],
+        vec![LaneGuest::default(), LaneGuest::default()],
+    ];
+    let pair = [victim_core, FleetTopology::sibling_of(victim_core)];
+    let batched = fleet
+        .record_host_trace_batch(
+            0,
+            &pair,
+            lanes,
+            &[ev],
+            OriginFilter::Any,
+            1_000_000,
+            10_000_000,
+        )
+        .unwrap();
+    assert_eq!(batched.len(), 2);
+    for trace in batched.iter().flatten() {
+        assert!(
+            !trace.is_empty() && trace.to_flat().iter().all(|&v| v == 0.0),
+            "a crashed host's batched lane handed out a nonzero counter: {:?}",
+            trace.to_flat()
+        );
+    }
+
     // Hosts that neither crashed nor adopted the evacuee are
     // bit-identical across the two fleets, every core.
     let all_cores: Vec<usize> = (0..topo.cores_per_host()).collect();
@@ -588,78 +623,4 @@ proptest! {
             }
         }
     }
-}
-
-// ── Family 4: the fleet sweep ───────────────────────────────────────────
-
-fn sweep_config() -> FleetSweepConfig {
-    FleetSweepConfig {
-        policies: vec![PlacementPolicy::Packed, PlacementPolicy::Spread],
-        storm_seeds: vec![1, 2],
-        topology: FleetTopology {
-            hosts: 2,
-            sockets_per_host: 1,
-            pairs_per_socket: 2,
-        },
-        tenants: 4,
-        steps: 3,
-        step_ns: 2_000_000,
-        host_crash: 0.2,
-        host_degrade: 0.3,
-        service: ServiceConfig::new(quick_cfg(FaultPlan::none())),
-        arch: MicroArch::AmdEpyc7252,
-        seed: 31,
-    }
-}
-
-/// A sweep killed mid-grid by the fault plan resumes from its
-/// checkpoint and completes bit-identically to an unkilled reference —
-/// at a different worker count, for good measure.
-#[test]
-fn killed_fleet_sweep_resumes_bit_identically() {
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(PoisonError::into_inner);
-    let cfg = sweep_config();
-
-    // Reference: no ambient faults, no checkpointing, 1 worker.
-    set_threads(1);
-    let ref_dir = temp_dir("sweep-ref");
-    let reference = fleet_sweep(
-        &ArtifactCache::with_faults(&ref_dir, FaultPlan::none()),
-        &cfg,
-        shared_plan(),
-        &app(),
-    )
-    .unwrap();
-    assert_eq!(reference.cells.len(), 4);
-    assert!(
-        reference.cells.iter().any(|c| c.crashes > 0),
-        "these storm seeds must crash something"
-    );
-
-    // Killed run: ambient plan arms the checkpoint loop and kills after
-    // 2 completed cells.
-    set_threads(2);
-    let kill_plan = FaultPlan {
-        seed: 5,
-        tick_jitter: 0.5,
-        kill_after: 2,
-        ..FaultPlan::none()
-    };
-    let dir = temp_dir("sweep-kill");
-    let cache = ArtifactCache::with_faults(&dir, kill_plan);
-    let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        fleet_sweep(&cache, &cfg, shared_plan(), &app())
-    }));
-    assert!(killed.is_err(), "the kill site must abort the first run");
-
-    // Resume in the same cache dir: sails past the kill point.
-    let resumed = fleet_sweep(&cache, &cfg, shared_plan(), &app()).unwrap();
-    set_threads(0);
-    assert_eq!(
-        resumed, reference,
-        "resumed sweep diverged from the reference"
-    );
-
-    let _ = std::fs::remove_dir_all(&ref_dir);
-    let _ = std::fs::remove_dir_all(&dir);
 }
