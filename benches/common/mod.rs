@@ -7,8 +7,10 @@
 //! repository benchmark's vocabulary; `attacks` names the benchmark
 //! per-layer metric whose share the path is (e.g. `fleet.quiet_step_pct`);
 //! `min`/`max` are the fastest and slowest sample of a criterion row.
-//! `scripts/bench_diff.sh` checks the shape, rejects a repeated
-//! `(id, metric)` and gates every row whose unit is not `ns`.
+//! [`BenchFile::check`] rejects a repeated `(id, metric)` or a
+//! non-finite number before anything is written; `scripts/bench_diff.sh`
+//! checks the committed shape again and gates every row whose unit is
+//! not `ns`.
 
 use criterion::Sampled;
 use serde_json::{Map, Value};
@@ -126,10 +128,39 @@ impl BenchFile {
         Some(value)
     }
 
-    /// Prints every row, then writes them to `path` unless a criterion
-    /// filter is set: a filtered run measured only some paths, and its
-    /// file would drop the others.
+    /// Rejects a repeated `(id, metric)` and a non-finite value or
+    /// spread, naming the first offending row. [`BenchFile::write`] runs
+    /// it first; a smoke pass runs it instead of writing.
+    pub fn check(&self) -> Result<(), String> {
+        let mut seen = std::collections::BTreeSet::new();
+        for r in &self.rows {
+            let (metric, value, ..) = r.metric;
+            if !seen.insert((r.id.as_str(), metric)) {
+                return Err(format!("row ({}, {metric}) is repeated", r.id));
+            }
+            let (min, max) = r.spread.unwrap_or((value, value));
+            if ![value, min, max].iter().all(|v| v.is_finite()) {
+                return Err(format!(
+                    "row ({}, {metric}) is not finite: {value} [{min}, {max}]",
+                    r.id
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the rows ([`BenchFile::check`]), prints every one, then
+    /// writes them to `path` unless a criterion filter is set: a
+    /// filtered run measured only some paths, and its file would drop
+    /// the others.
+    ///
+    /// # Panics
+    ///
+    /// When the check fails; nothing is printed or written then.
     pub fn write(self, path: &str) {
+        if let Err(e) = self.check() {
+            panic!("{path} not written: {e}");
+        }
         for r in &self.rows {
             let (metric, value, unit, _) = r.metric;
             println!("{:<52} {metric:<18} {value:>16.4} {unit}", r.id);

@@ -20,7 +20,9 @@
 //! * `fleet_kernel/storm-step-*` — one quiet 10 ms storm step of the
 //!   `fleet-storm` benchmark's fleet (32 tenants on 8 hosts × 5 SMT
 //!   pairs) under each placement policy: median wall ns per step and
-//!   steps per second. These steps are the benchmark's
+//!   steps per second with the live hosts stepped on 2 workers (and on
+//!   1, the `-workers-1` ids), plus the 2-worker step's
+//!   `speedup_vs_1_worker`. These steps are the benchmark's
 //!   `fleet.quiet_step_pct` share.
 //! * `fleet_kernel/attack-accuracy-*` — the cross-tenant attacker per
 //!   placement policy (now acquired through the batched lane path). The
@@ -83,6 +85,8 @@ const STORM_STEP_NS: u64 = 10_000_000;
 /// Untimed steps before sampling, then timed steps per policy.
 const STORM_WARMUP_STEPS: usize = 10;
 const STORM_STEPS: usize = 150;
+/// Worker counts the storm steps are timed at.
+const STORM_WORKERS: [usize; 2] = [1, 2];
 
 fn bench_topology() -> FleetTopology {
     FleetTopology {
@@ -366,30 +370,77 @@ fn bench_xt_recording(c: &mut Criterion, fx: &XtFixture) {
 }
 
 /// Wall ns of each of `steps` quiet storm steps of the benchmark's
-/// fleet under `policy`, after `warmup` untimed ones.
+/// fleet under `policy`, after `warmup` untimed ones: one fleet per
+/// entry of [`STORM_WORKERS`], their steps interleaved so that machine
+/// drift falls on every worker count alike.
 fn storm_steps(
     plan: &DefensePlan,
     app: &KeystrokeApp,
     policy: PlacementPolicy,
     warmup: usize,
     steps: usize,
-) -> Vec<f64> {
-    let cfg = FleetConfig::new(
-        ServiceConfig::new(quick_cfg()),
-        STORM_TOPOLOGY,
-        policy,
-        STORM_TENANTS,
-    )
-    .seed(1);
-    let mut fleet = FleetSupervisor::deploy(cfg, plan, app).expect("fleet deploys");
-    fleet.run_storm(warmup as u64, STORM_STEP_NS);
-    (0..steps)
-        .map(|_| {
+) -> [Vec<f64>; STORM_WORKERS.len()] {
+    let mut fleets = STORM_WORKERS.map(|workers| {
+        let cfg = FleetConfig::new(
+            ServiceConfig::new(quick_cfg()),
+            STORM_TOPOLOGY,
+            policy,
+            STORM_TENANTS,
+        )
+        .seed(1);
+        let mut fleet = FleetSupervisor::deploy(cfg, plan, app).expect("fleet deploys");
+        set_threads(workers);
+        fleet.run_storm(warmup as u64, STORM_STEP_NS);
+        fleet
+    });
+    let mut ns = STORM_WORKERS.map(|_| Vec::with_capacity(steps));
+    for _ in 0..steps {
+        for ((fleet, workers), out) in fleets.iter_mut().zip(STORM_WORKERS).zip(&mut ns) {
+            set_threads(workers);
             let started = std::time::Instant::now();
             fleet.run_storm(1, STORM_STEP_NS);
-            started.elapsed().as_nanos() as f64
-        })
-        .collect()
+            out.push(started.elapsed().as_nanos() as f64);
+        }
+    }
+    set_threads(2); // the bench's own worker count, set in `main`
+    ns
+}
+
+/// The quiet-storm-step rows of every policy: median wall ns and steps
+/// per second at each worker count, and the derived
+/// `speedup_vs_1_worker` of the 2-worker step. These steps are the
+/// benchmark's `fleet.quiet_step_pct` share, measured on their own.
+fn storm_rows(
+    out: &mut BenchFile,
+    plan: &DefensePlan,
+    app: &KeystrokeApp,
+    warmup: usize,
+    steps: usize,
+) {
+    for policy in PlacementPolicy::ALL {
+        let label = policy.label();
+        let id = |workers: usize| match workers {
+            2 => format!("fleet_kernel/storm-step-{label}"),
+            w => format!("fleet_kernel/storm-step-{label}-workers-{w}"),
+        };
+        let samples = storm_steps(plan, app, policy, warmup, steps);
+        for (workers, mut ns) in STORM_WORKERS.into_iter().zip(samples) {
+            ns.sort_by(f64::total_cmp);
+            let median_ns = ns[ns.len() / 2];
+            out.push(
+                id(workers),
+                "fleet",
+                Some("fleet.quiet_step_pct"),
+                &[
+                    ("median_ns", median_ns, "ns", "lower"),
+                    ("steps_per_sec", 1e9 / median_ns, "1/s", "higher"),
+                ],
+            );
+        }
+        out.derive(id(2), "speedup_vs_1_worker", "x", &[id(1), id(2)], |m| {
+            m[0] / m[1]
+        });
+    }
 }
 
 fn bench_placement(c: &mut Criterion) {
@@ -422,9 +473,11 @@ fn main() {
 
     if smoke {
         // One tiny pass over every measured path: placement under each
-        // policy, one crash-to-latch-release evacuation, the lane-width
-        // bit-equality sweep on a small fixture, and a 2-tenant attack
-        // cell — proves the harness runs end to end.
+        // policy, storm steps at both worker counts (their rows built
+        // and checked, not written), one crash-to-latch-release
+        // evacuation, the lane-width bit-equality sweep on a small
+        // fixture, and a 2-tenant attack cell — proves the harness runs
+        // end to end.
         let topo = bench_topology();
         let alive = vec![true; topo.hosts];
         for policy in PlacementPolicy::ALL {
@@ -434,9 +487,9 @@ fn main() {
             }
         }
         let plan = offline_plan(&app);
-        for policy in PlacementPolicy::ALL {
-            assert_eq!(storm_steps(&plan, &app, policy, 1, 2).len(), 2);
-        }
+        let mut rows = BenchFile::new("fleet_kernel", "smoke");
+        storm_rows(&mut rows, &plan, &app, 1, 2);
+        rows.check().expect("smoke storm rows are well formed");
         let (wall_ns, sim_ns) = evacuate_host(&plan, &app);
         assert!(wall_ns > 0 && sim_ns > 0);
         xt_assert_bit_equal(&xt_fixture(&plan, &app, 8));
@@ -466,7 +519,7 @@ fn main() {
     let mut out = BenchFile::new(
         "fleet_kernel",
         "64 tenants placed on 8 hosts; 64 cross-tenant replicas recorded, fork vs lanes; \
-         host evacuation; quiet 10 ms storm steps of 32 tenants on 8 hosts x 5 pairs; \
+         host evacuation; quiet 10 ms storm steps of 32 tenants on 8 hosts x 5 pairs at 1 and 2 workers; \
          attack accuracy per placement policy",
     );
     let results = criterion.results();
@@ -538,22 +591,7 @@ fn main() {
         ],
     );
 
-    // Quiet storm steps per policy: the benchmark's fleet.quiet_step_pct
-    // share, measured on its own.
-    for policy in PlacementPolicy::ALL {
-        let mut ns = storm_steps(&plan, &app, policy, STORM_WARMUP_STEPS, STORM_STEPS);
-        ns.sort_by(f64::total_cmp);
-        let median_ns = ns[ns.len() / 2];
-        out.push(
-            format!("fleet_kernel/storm-step-{}", policy.label()),
-            "fleet",
-            Some("fleet.quiet_step_pct"),
-            &[
-                ("median_ns", median_ns, "ns", "lower"),
-                ("steps_per_sec", 1e9 / median_ns, "1/s", "higher"),
-            ],
-        );
-    }
+    storm_rows(&mut out, &plan, &app, STORM_WARMUP_STEPS, STORM_STEPS);
 
     // The headline defense metric: attacker accuracy per placement
     // policy, undefended workload. Enforce the separation here so a

@@ -22,9 +22,8 @@ use aegis_faults::{self as faults, site, FaultPlan, FaultStream};
 use aegis_obs as obs;
 use aegis_par::{fingerprint, ArtifactCache, ArtifactKey};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Artifact kind under which the ledger record is stored.
 pub const LEDGER_KIND: &str = "service-ledger";
@@ -257,8 +256,12 @@ impl EpsilonLedger {
 /// gets its *own* [`EpsilonLedger`] (and therefore its own persisted
 /// record, keyed by `scope/tenant`), so one tenant's torn record
 /// poisons — and quarantines — that tenant alone, never its neighbors.
-/// Fleet planes hold this behind [`LedgerSlot::Shared`]; the fleet sim
-/// is single-threaded, so an `Rc<RefCell<…>>` is the whole story.
+/// Fleet planes hold this behind [`LedgerSlot::Shared`], an
+/// `Arc<Mutex<…>>`: a fleet steps its hosts on worker threads, and a
+/// tenant's session lives on one host at a time, so charges to one
+/// account never race and only the store journal's line order is left
+/// to the scheduler. Every access goes through [`TenantLedgers::lock`]
+/// for one call and never locks again while holding the guard.
 pub(crate) struct TenantLedgers {
     default_budget: f64,
     store: Option<(ArtifactCache, String)>,
@@ -281,6 +284,19 @@ impl TenantLedgers {
             plan,
             ledgers: BTreeMap::new(),
         }
+    }
+
+    /// Locks the shared set. A `Mutex` deadlocks on nested locking, so
+    /// no caller may lock again while it holds the guard.
+    ///
+    /// # Panics
+    ///
+    /// When a thread panicked while holding the lock: a charge cut
+    /// short may have moved an account without persisting it.
+    pub(crate) fn lock(shared: &Mutex<TenantLedgers>) -> MutexGuard<'_, TenantLedgers> {
+        shared
+            .lock()
+            .expect("no thread panicked while holding the fleet ledgers")
     }
 
     fn open_one(&self, tenant: &str) -> EpsilonLedger {
@@ -359,7 +375,7 @@ impl TenantLedgers {
 /// across every host their sessions land on.
 pub(crate) enum LedgerSlot {
     Owned(Box<EpsilonLedger>),
-    Shared(Rc<RefCell<TenantLedgers>>),
+    Shared(Arc<Mutex<TenantLedgers>>),
 }
 
 impl LedgerSlot {
@@ -367,7 +383,7 @@ impl LedgerSlot {
     pub(crate) fn charge(&mut self, tenant: &str, eps: f64) -> Result<f64, AegisError> {
         match self {
             LedgerSlot::Owned(ledger) => ledger.charge(tenant, eps),
-            LedgerSlot::Shared(shared) => shared.borrow_mut().charge(tenant, eps),
+            LedgerSlot::Shared(shared) => TenantLedgers::lock(shared).charge(tenant, eps),
         }
     }
 
@@ -375,7 +391,7 @@ impl LedgerSlot {
     pub(crate) fn remaining(&self, tenant: &str) -> Option<f64> {
         match self {
             LedgerSlot::Owned(ledger) => ledger.remaining(tenant),
-            LedgerSlot::Shared(shared) => shared.borrow().remaining(tenant),
+            LedgerSlot::Shared(shared) => TenantLedgers::lock(shared).remaining(tenant),
         }
     }
 

@@ -184,13 +184,6 @@ fn idle_plan(duration_ns: u64) -> WorkloadPlan {
     p
 }
 
-/// Fast-forward support: expose [`PlanSource::advance`] as a free helper
-/// so warm-up probes can start mid-plan without a custom source type.
-#[allow(dead_code)]
-fn _assert_plan_source_is_source(p: PlanSource) -> impl ActivitySource {
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -121,11 +121,14 @@ echo "== fleet matrix (AEGIS_FAULTS=smoke) =="
 # The fleet-plane contracts (seeded chaos storms with fail-closed
 # evacuation, clean-twin bit-equality of crashed and surviving hosts,
 # zero reads of a crashed host through the lane-batched recorder,
-# ε-ledger carry and quarantine across hosts, storm-schedule replay at
-# any worker count) re-run under the smoke plan. Every fleet passes an
-# explicit FaultPlan into each of its hosts and service planes, so
-# nothing in the suite sees the ambient plan: the simulated physics
-# must not move.
+# ε-ledger carry and quarantine across hosts, storm-schedule replay)
+# re-run under the smoke plan. A fleet steps its live hosts in parallel
+# on the worker pool; the determinism test storms one fleet with a
+# ledger store at 1, 2 and 8 workers and compares the reports, the
+# ledger record files byte for byte and the store journal's lines as a
+# multiset. Every fleet passes an explicit FaultPlan into each of its
+# hosts and service planes, so nothing in the suite sees the ambient
+# plan: the simulated physics must not move.
 AEGIS_FAULTS=smoke cargo test -q --test fleet_plane
 
 echo "== observability matrix (AEGIS_FAULTS=smoke) =="
@@ -177,8 +180,11 @@ cargo clippy --examples -- -D deprecated
 echo "== bench smoke (AEGIS_BENCH_SMOKE=1) =="
 # One iteration per bench workload, no criterion sampling: proves every
 # bench harness still compiles and runs end to end without burning
-# minutes. Each bench returns before its writer runs, so the checked-in
-# BENCH_*.json numbers are not rewritten. The canonical bench list is
+# minutes. No bench writes, so the checked-in BENCH_*.json numbers are
+# not rewritten; fleet_kernel builds its storm-step rows and their
+# speedup ratios through the writer and checks them (no repeated
+# (id, metric), no non-finite value), the others return before their
+# writer runs. The canonical bench list is
 # the [[bench]] section of the root Cargo.toml; --benches runs all of it.
 AEGIS_BENCH_SMOKE=1 cargo bench -p aegis-suite --benches
 

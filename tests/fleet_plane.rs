@@ -10,6 +10,7 @@
 
 use aegis::fuzzer::FuzzerConfig;
 use aegis::microarch::{named, MicroArch, OriginFilter};
+use aegis::par::store::manifest::MANIFEST_FILE;
 use aegis::par::{set_threads, ArtifactCache};
 use aegis::profiler::{RankConfig, WarmupConfig};
 use aegis::sev::{Host, SevMode};
@@ -20,6 +21,7 @@ use aegis::{
     TenantStatus,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 static THREAD_KNOB: Mutex<()> = Mutex::new(());
@@ -558,37 +560,80 @@ fn torn_ledger_records_quarantine_their_tenants() {
 
 // ── Family 3: determinism ───────────────────────────────────────────────
 
-fn storm_report(threads: usize) -> FleetReport {
+/// What a stormed fleet leaves behind: its report, its ledger record
+/// files (name → bytes) and its store journal's lines, sorted — worker
+/// threads persist different tenants' records concurrently, so only the
+/// journal's line order may depend on the scheduler.
+type StormOutcome = (FleetReport, BTreeMap<String, Vec<u8>>, Vec<String>);
+
+fn storm_outcome(threads: usize) -> StormOutcome {
     set_threads(threads);
+    let dir = temp_dir(&format!("workers-{threads}"));
     let topo = FleetTopology {
         hosts: 4,
         sockets_per_host: 1,
         pairs_per_socket: 2,
     };
+    // Every fault site armed, ledger and cache tearing included.
     let storm = FaultPlan {
-        seed: 21,
-        host_crash: 0.1,
-        host_degrade: 0.2,
-        ..FaultPlan::none()
+        seed: 5,
+        ..FaultPlan::smoke()
     };
-    let mut fleet = FleetSupervisor::deploy(
-        fleet_config(topo, PlacementPolicy::Spread, 6, storm, 13),
-        shared_plan(),
-        &app(),
-    )
-    .unwrap();
-    fleet.run_storm(4, 2_000_000);
-    fleet.shutdown()
+    let mut cfg = fleet_config(topo, PlacementPolicy::Spread, 10, storm, 13);
+    cfg.service = cfg
+        .service
+        .default_budget(40.0)
+        .ledger_dir(&dir)
+        .ledger_scope("fleet");
+    let mut fleet = FleetSupervisor::deploy(cfg, shared_plan(), &app()).unwrap();
+    // 16 ms steps keep every step above the tenant time from which a
+    // fleet steps its hosts on the pool, crashes and all.
+    fleet.run_storm(30, 16_000_000);
+    let report = fleet.shutdown();
+    let mut records = BTreeMap::new();
+    let mut journal = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let bytes = std::fs::read(&path).unwrap();
+        if name == MANIFEST_FILE {
+            journal = String::from_utf8(bytes)
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect();
+        } else {
+            records.insert(name, bytes);
+        }
+    }
+    journal.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    (report, records, journal)
 }
 
 #[test]
 fn fleet_reports_are_bit_identical_across_worker_counts() {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(PoisonError::into_inner);
-    let serial = storm_report(1);
-    let wide = storm_report(8);
+    let outcomes: Vec<StormOutcome> = [1, 2, 8].into_iter().map(storm_outcome).collect();
     set_threads(0);
-    assert_eq!(serial, wide, "worker count leaked into the fleet report");
-    assert!(serial.crashes + serial.degrades > 0, "storm was a no-op");
+    let (report, records, journal) = &outcomes[0];
+    for (threads, (r, rec, j)) in [2, 8].into_iter().zip(&outcomes[1..]) {
+        assert_eq!(report, r, "{threads} workers moved the fleet report");
+        assert_eq!(records, rec, "{threads} workers moved a ledger record");
+        assert_eq!(journal, j, "{threads} workers moved the store journal");
+    }
+    assert!(
+        report.crashes > 0 && report.degrades > 0,
+        "storm was a no-op"
+    );
+    assert!(report.evacuations > 0, "no tenant was evacuated");
+    assert!(report.quarantined > 0, "no ledger record tore");
+    assert_eq!(
+        records.len(),
+        report.tenants.len(),
+        "every tenant persists one ε record"
+    );
+    assert!(!journal.is_empty(), "the store journaled nothing");
 }
 
 proptest! {
