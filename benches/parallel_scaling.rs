@@ -56,14 +56,44 @@ fn bench_collect(c: &mut Criterion) {
     g.finish();
 }
 
+/// Derives each measured width's `speedup_vs_1_worker` from the
+/// `median_ns` rows; a width whose row is missing (a filtered run) gets
+/// none.
+fn derive_speedups(out: &mut BenchFile) {
+    for workers in WORKERS {
+        let id = format!("collect_dataset/workers-{workers}");
+        out.derive(
+            &id,
+            "speedup_vs_1_worker",
+            "x",
+            &["collect_dataset/workers-1", &id],
+            |m| m[0] / m[1],
+        );
+    }
+}
+
 fn main() {
     if std::env::var("AEGIS_BENCH_SMOKE").as_deref() == Ok("1") {
-        // One collection on a two-worker pool, no criterion sampling or
-        // JSON refresh: proves the bench compiles and runs in tier-1 CI.
-        set_threads(2);
-        let rows = collect_once();
+        // One collection at one worker and one at two, no criterion
+        // sampling: their rows and the derived speedup are built and
+        // checked, not written. Proves the bench runs end to end in
+        // tier-1 CI.
+        let mut rows = BenchFile::new("parallel_scaling", "smoke");
+        for workers in [1, 2] {
+            set_threads(workers);
+            let started = std::time::Instant::now();
+            assert_eq!(collect_once(), 90);
+            let median_ns = started.elapsed().as_nanos() as f64;
+            rows.push(
+                format!("collect_dataset/workers-{workers}"),
+                "par",
+                Some("sev.collect_clean_pct"),
+                &[("median_ns", median_ns, "ns", "lower")],
+            );
+        }
         set_threads(1);
-        assert_eq!(rows, 90);
+        derive_speedups(&mut rows);
+        rows.check().expect("smoke rows are well formed");
         eprintln!("[parallel_scaling smoke OK]");
         return;
     }
@@ -76,18 +106,12 @@ fn main() {
         "parallel_scaling",
         "one website dataset collected at 1/2/4/8 workers",
     );
-    let results = criterion.results();
     out.sampled(
-        results,
+        criterion.results(),
         "collect_dataset/",
         "par",
         Some("sev.collect_clean_pct"),
     );
-    for s in results {
-        let one = format!("{}1", s.id.trim_end_matches(|c: char| c.is_ascii_digit()));
-        out.derive(&s.id, "speedup_vs_1_worker", "x", &[&one, &s.id], |m| {
-            m[0] / m[1]
-        });
-    }
+    derive_speedups(&mut out);
     out.write("BENCH_parallel.json");
 }

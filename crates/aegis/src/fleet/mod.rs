@@ -56,13 +56,14 @@ const STREAM_FLEET_PLANE: u64 = 0x31;
 const STREAM_FLEET_APP: u64 = 0x32;
 
 /// Tenant time (tenants homed on live hosts × step length) from which
-/// [`FleetSupervisor::run`] steps the hosts on the worker pool. One
-/// worker spends 2.3–3.2 µs of wall time per tenant-ms, and handing the
-/// hosts to two workers costs a fixed 60–70 µs of thread spawns (2-vCPU
-/// VM), so two workers break even at 55–80 tenant-ms: a 32-tenant fleet
-/// past 2 ms steps, an 8-tenant one past 7 ms. Shorter steps, such as
-/// the 1 ms steps that wait out an evacuation, stay on the calling
-/// thread.
+/// [`FleetSupervisor::run`] steps the hosts on the worker pool. On a
+/// 2-vCPU VM one worker spends 1.9–2.5 µs of wall time per tenant-ms in
+/// a 32-tenant fleet on 8 hosts (5.9–7.6 µs in an 8-tenant one), and a
+/// 2-worker pool call costs a fixed 35 µs: one thread spawn, with the
+/// calling thread working as the other worker. The value was tuned when
+/// that call spawned both workers and cost 60–70 µs, and has not been
+/// retuned since. Shorter steps, such as the 1 ms steps that wait out an
+/// evacuation, stay on the calling thread.
 const PARALLEL_STEP_TENANT_NS: u64 = 64_000_000;
 
 /// Fleet-wide configuration: the per-host service template plus the
@@ -441,8 +442,9 @@ impl FleetSupervisor {
     /// Advances fleet sim-time by `duration_ns`: every live shard runs
     /// its service plane (crashed hosts stay frozen). A step of at least
     /// 64 tenant-ms (tenants homed on live hosts × `duration_ns`) runs
-    /// the shards on the `aegis-par` pool; a shorter one costs less than
-    /// the pool's thread spawns and stays on the calling thread. Shards
+    /// the shards on the `aegis-par` pool; a shorter one stays on the
+    /// calling thread, where it saves the pool call's fixed cost (see
+    /// `PARALLEL_STEP_TENANT_NS`). Shards
     /// are independent between fleet events: each owns its host, and a
     /// tenant's session, ε account and ledger record live on one shard at
     /// a time, so the outcome does not depend on the worker count — only

@@ -92,6 +92,11 @@ impl Executor {
     /// per worker thread — the home for expensive replicas (a forked
     /// `Host`, a cloned `Core`) that units reset rather than rebuild.
     ///
+    /// It is [`Executor::stream`] on a pool narrowed to one worker per
+    /// item, fed every item up front with no in-flight bound: the calling
+    /// thread is one of the workers, and a one-worker map spawns no
+    /// thread.
+    ///
     /// Determinism contract: `make_ctx` must produce equivalent contexts
     /// for every worker, and `work` must not let one unit's leftover
     /// context state influence the next unit's result (reset it, or
@@ -103,67 +108,21 @@ impl Executor {
         FC: Fn(usize) -> C + Sync,
         F: Fn(&mut C, usize, T) -> R + Sync,
     {
-        let n = items.len();
-        let workers = self.threads.min(n.max(1));
-        let observe = obs::enabled();
-        if observe {
-            obs::gauge_set("par.workers", workers as f64);
+        let pool = Executor::new(self.threads.min(items.len()));
+        if obs::enabled() {
+            obs::gauge_set("par.workers", pool.threads as f64);
         }
-
-        if workers <= 1 {
-            // Sequential fast path: same code shape, no thread overhead.
-            let mut ctx = make_ctx(0);
-            let out: Vec<R> = items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| work(&mut ctx, i, item))
-                .collect();
-            if observe && n > 0 {
-                record_worker_stats(0, n as u64, 0);
-            }
-            return out;
-        }
-
-        // Workers claim units one at a time from the shared iterator and
-        // keep their results; the lock is never held while a unit runs.
-        let queue = Mutex::new(items.into_iter().enumerate());
-        let finished: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let (queue, make_ctx, work) = (&queue, &make_ctx, &work);
-                    scope.spawn(move || {
-                        let mut ctx = make_ctx(worker);
-                        let mut done = Vec::new();
-                        let mut idle_ns = 0u128;
-                        loop {
-                            let wait = Instant::now();
-                            let claimed = queue.lock().expect("no unit runs under the lock").next();
-                            let Some((index, item)) = claimed else {
-                                break;
-                            };
-                            idle_ns += wait.elapsed().as_nanos();
-                            done.push((index, work(&mut ctx, index, item)));
-                        }
-                        if observe {
-                            record_worker_stats(worker, done.len() as u64, idle_ns as u64);
-                        }
-                        done
-                    })
-                })
-                .collect();
-            // A panicking unit reaches the caller with its own payload.
-            handles
-                .into_iter()
-                .map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
-                .collect()
-        });
-        let mut done: Vec<(usize, R)> = finished.into_iter().flatten().collect();
-        done.sort_unstable_by_key(|&(index, _)| index);
-        done.into_iter().map(|(_, result)| result).collect()
+        let mut out = Vec::with_capacity(items.len());
+        pool.stream(
+            usize::MAX,
+            make_ctx,
+            work,
+            |result| out.push(result),
+            |feed| items.into_iter().for_each(|item| feed.push(item)),
+        );
+        out
     }
-}
 
-impl Executor {
     /// Runs `drive` on the calling thread while the pool works off the
     /// units it submits through [`Feed::push`] — the shape of a
     /// sequential producer (a scheduler walk, an rng-driven sampler)
@@ -171,13 +130,15 @@ impl Executor {
     /// the calling thread and in submission order, as soon as it and
     /// every earlier result are done. Returns `drive`'s value.
     ///
-    /// At most `max_in_flight` submitted units wait, run, or hold an
-    /// undelivered result at once: when a push would exceed that, the
-    /// caller runs queued units itself until it drops below. The producer
-    /// therefore never outruns the pool by more than the bound, memory
-    /// stays bounded, and the caller's thread is one of the pool's
-    /// `threads` workers. A one-worker pool runs each unit inline at its
-    /// push.
+    /// The pool spawns `threads − 1` workers, and the caller's thread is
+    /// the last one. At most `max_in_flight` submitted units wait, run,
+    /// or hold an undelivered result at once: when a push would exceed
+    /// that, the caller runs queued units itself until it drops below,
+    /// and once `drive` returns it works off the rest the same way. The
+    /// producer therefore never outruns the pool by more than the bound
+    /// and memory stays bounded. A one-worker pool spawns no thread; its
+    /// caller runs every unit. The caller builds its worker context at
+    /// its first unit, so building it never delays the first pushes.
     ///
     /// The determinism contract is [`Executor::map_with`]'s: a unit's
     /// result may depend only on its index, its item and a context
@@ -200,12 +161,6 @@ impl Executor {
     {
         let spawned = self.threads - 1;
         let observe = obs::enabled();
-        if spawned == 0 {
-            let mut feed = Feed::new(&work, &mut sink, 0, make_ctx(0), None, 0);
-            let out = drive(&mut feed);
-            feed.finish(observe);
-            return out;
-        }
         let (work_tx, work_rx) = mpsc::channel::<(usize, T)>();
         // The workers share one receiver. Whoever holds the lock blocks in
         // `recv` only while the queue is empty, and the caller steals with
@@ -242,19 +197,21 @@ impl Executor {
                 });
             }
             drop(done_tx);
-            let channels = Channels {
+            let mut feed = Feed {
+                work: &work,
+                make_ctx: &make_ctx,
+                sink: &mut sink,
+                worker: spawned,
+                ctx: None,
                 work_tx,
                 work_rx: &work_rx,
                 done_rx,
-            };
-            let mut feed = Feed::new(
-                &work,
-                &mut sink,
-                spawned,
-                make_ctx(spawned),
-                Some(channels),
                 max_in_flight,
-            );
+                submitted: 0,
+                pending: VecDeque::new(),
+                delivered: 0,
+                inline_units: 0,
+            };
             let out = drive(&mut feed);
             feed.finish(observe);
             out
@@ -262,23 +219,20 @@ impl Executor {
     }
 }
 
-/// The channels between a [`Feed`] and the spawned workers.
-struct Channels<'w, T, R> {
-    work_tx: mpsc::Sender<(usize, T)>,
-    work_rx: &'w Mutex<mpsc::Receiver<(usize, T)>>,
-    done_rx: mpsc::Receiver<(usize, std::thread::Result<R>)>,
-}
-
 /// The caller's end of [`Executor::stream`]: submits units to the pool,
 /// works off queued ones itself when too many are in flight, and hands
 /// results to the sink in submission order.
 pub struct Feed<'w, T, R, C> {
     work: &'w (dyn Fn(&mut C, usize, T) -> R + Sync),
+    make_ctx: &'w (dyn Fn(usize) -> C + Sync),
     sink: &'w mut dyn FnMut(R),
     /// The caller's worker index (for utilization stats).
     worker: usize,
-    ctx: C,
-    channels: Option<Channels<'w, T, R>>,
+    /// The caller's worker context, built at its first unit.
+    ctx: Option<C>,
+    work_tx: mpsc::Sender<(usize, T)>,
+    work_rx: &'w Mutex<mpsc::Receiver<(usize, T)>>,
+    done_rx: mpsc::Receiver<(usize, std::thread::Result<R>)>,
     max_in_flight: usize,
     submitted: usize,
     /// Results of units `delivered..submitted`, in index order; `None`
@@ -288,40 +242,13 @@ pub struct Feed<'w, T, R, C> {
     inline_units: u64,
 }
 
-impl<'w, T, R, C> Feed<'w, T, R, C> {
-    fn new(
-        work: &'w (dyn Fn(&mut C, usize, T) -> R + Sync),
-        sink: &'w mut dyn FnMut(R),
-        worker: usize,
-        ctx: C,
-        channels: Option<Channels<'w, T, R>>,
-        max_in_flight: usize,
-    ) -> Self {
-        Feed {
-            work,
-            sink,
-            worker,
-            ctx,
-            channels,
-            max_in_flight,
-            submitted: 0,
-            pending: VecDeque::new(),
-            delivered: 0,
-            inline_units: 0,
-        }
-    }
-
+impl<T, R, C> Feed<'_, T, R, C> {
     /// Submits one unit.
     pub fn push(&mut self, item: T) {
         let index = self.submitted;
         self.submitted += 1;
         self.pending.push_back(None);
-        let Some(channels) = self.channels.as_ref() else {
-            self.run_inline(index, item);
-            return;
-        };
-        channels
-            .work_tx
+        self.work_tx
             .send((index, item))
             .expect("the feed holds a receiver");
         while self.submitted - self.delivered > self.max_in_flight {
@@ -330,7 +257,8 @@ impl<'w, T, R, C> Feed<'w, T, R, C> {
     }
 
     fn run_inline(&mut self, index: usize, item: T) {
-        let result = (self.work)(&mut self.ctx, index, item);
+        let ctx = self.ctx.get_or_insert_with(|| (self.make_ctx)(self.worker));
+        let result = (self.work)(ctx, index, item);
         self.inline_units += 1;
         self.complete(index, result);
     }
@@ -345,15 +273,13 @@ impl<'w, T, R, C> Feed<'w, T, R, C> {
         }
     }
 
-    /// Makes progress on a pooled feed with units in flight: collects
-    /// finished results, else runs one queued unit here, else waits for a
-    /// worker to finish one.
+    /// Makes progress with units in flight: collects finished results,
+    /// else runs one queued unit here, else waits for a worker to finish
+    /// one.
     fn settle(&mut self) {
-        let channels = self.channels.as_ref().expect("only pooled feeds settle");
-        let mut finished: Vec<_> =
-            std::iter::from_fn(|| channels.done_rx.try_recv().ok()).collect();
+        let mut finished: Vec<_> = std::iter::from_fn(|| self.done_rx.try_recv().ok()).collect();
         if finished.is_empty() {
-            let stolen = channels
+            let stolen = self
                 .work_rx
                 .try_lock()
                 .ok()
@@ -362,7 +288,7 @@ impl<'w, T, R, C> Feed<'w, T, R, C> {
                 self.run_inline(index, item);
                 return;
             }
-            match channels.done_rx.recv() {
+            match self.done_rx.recv() {
                 Ok(done) => finished.push(done),
                 Err(_) => panic!("every worker exited with units in flight"),
             }
@@ -444,19 +370,37 @@ mod tests {
     #[test]
     fn map_with_builds_one_context_per_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let built = AtomicUsize::new(0);
-        let ex = Executor::new(3);
-        let out = ex.map_with(
-            (0..32u64).collect(),
-            |worker| {
-                built.fetch_add(1, Ordering::SeqCst);
-                worker
-            },
-            |_ctx, i, x| x + i as u64,
+        // (pool width, items, most contexts): a map narrows its pool to
+        // one worker per item.
+        for (threads, n, most) in [(3, 32u64, 3), (8, 2, 2)] {
+            let built = AtomicUsize::new(0);
+            let out = Executor::new(threads).map_with(
+                (0..n).collect(),
+                |worker| {
+                    built.fetch_add(1, Ordering::SeqCst);
+                    worker
+                },
+                |_ctx, i, x| x + i as u64,
+            );
+            assert_eq!(out, (0..n).map(|x| 2 * x).collect::<Vec<_>>());
+            assert!(built.load(Ordering::SeqCst) <= most);
+        }
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_maps_workers() {
+        let caller = std::thread::current().id();
+        let ran = Executor::new(2).map(vec![(); 64], |_, ()| {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            std::thread::current().id()
+        });
+        let helpers: std::collections::HashSet<_> =
+            ran.into_iter().filter(|&id| id != caller).collect();
+        assert!(
+            helpers.len() <= 1,
+            "{} spawned threads ran units of a 2-worker map",
+            helpers.len()
         );
-        assert_eq!(out.len(), 32);
-        assert!(built.load(Ordering::SeqCst) <= 3);
-        assert_eq!(out[4], 8);
     }
 
     #[test]

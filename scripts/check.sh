@@ -181,10 +181,11 @@ echo "== bench smoke (AEGIS_BENCH_SMOKE=1) =="
 # One iteration per bench workload, no criterion sampling: proves every
 # bench harness still compiles and runs end to end without burning
 # minutes. No bench writes, so the checked-in BENCH_*.json numbers are
-# not rewritten; fleet_kernel builds its storm-step rows and their
-# speedup ratios through the writer and checks them (no repeated
-# (id, metric), no non-finite value), the others return before their
-# writer runs. The canonical bench list is
+# not rewritten; fleet_kernel (storm steps) and parallel_scaling (one
+# collection at 1 and at 2 workers) build their rows and speedup ratios
+# through the writer and check them (no repeated (id, metric), no
+# non-finite value), the others return before their writer runs. The
+# canonical bench list is
 # the [[bench]] section of the root Cargo.toml; --benches runs all of it.
 AEGIS_BENCH_SMOKE=1 cargo bench -p aegis-suite --benches
 
