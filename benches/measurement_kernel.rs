@@ -4,8 +4,9 @@
 //! one worker.
 //!
 //! Writes `BENCH_kernel.json`: the median and the gadgets tested per
-//! second. `AEGIS_BENCH_SMOKE=1` runs the workload once without
-//! criterion sampling so CI can smoke-test the bench without burning
+//! second. `AEGIS_BENCH_SMOKE=1` times the workload once without
+//! criterion sampling and builds and checks the same rows from that run,
+//! writing nothing, so CI can smoke-test the bench without burning
 //! minutes.
 
 mod common;
@@ -76,11 +77,23 @@ fn main() {
 
     set_threads(1);
     if std::env::var("AEGIS_BENCH_SMOKE").as_deref() == Ok("1") {
-        // One iteration, no criterion sampling: proves the bench compiles
-        // and the pipeline tests every candidate for every event.
+        // One timed run, no criterion sampling: proves the bench compiles,
+        // the pipeline tests every candidate for every event, and the
+        // rows build and pass the writer's check (not written).
+        let started = std::time::Instant::now();
         let outcome = run_path(&tmp);
-        assert_eq!(outcome.report.gadgets_tested, N_EVENTS * CANDIDATES);
+        let median_ns = started.elapsed().as_nanos() as f64;
         let _ = std::fs::remove_dir_all(&tmp);
+        assert_eq!(outcome.report.gadgets_tested, N_EVENTS * CANDIDATES);
+        let mut rows = BenchFile::new("measurement_kernel", "smoke");
+        rows.push(
+            "fuzz_path/vectorized",
+            "fuzzer",
+            Some("fuzzer.run_pct"),
+            &[("median_ns", median_ns, "ns", "lower")],
+        );
+        derive_rates(&mut rows);
+        rows.check().expect("smoke rows are well formed");
         eprintln!("[measurement_kernel smoke OK]");
         return;
     }
@@ -93,8 +106,18 @@ fn main() {
         "measurement_kernel",
         format!("{N_EVENTS} events x {CANDIDATES} candidates, confirm_reps 10, warm cleanup cache"),
     );
-    let results = criterion.results();
-    out.sampled(results, "fuzz_path/", "fuzzer", Some("fuzzer.run_pct"));
+    out.sampled(
+        criterion.results(),
+        "fuzz_path/",
+        "fuzzer",
+        Some("fuzzer.run_pct"),
+    );
+    derive_rates(&mut out);
+    out.write("BENCH_kernel.json");
+}
+
+/// Derives the gadgets tested per second from the `median_ns` row.
+fn derive_rates(out: &mut BenchFile) {
     out.derive(
         "fuzz_path/vectorized",
         "gadgets_per_sec",
@@ -102,5 +125,4 @@ fn main() {
         &["fuzz_path/vectorized"],
         |m| (N_EVENTS * CANDIDATES) as f64 / (m[0] * 1e-9),
     );
-    out.write("BENCH_kernel.json");
 }

@@ -13,8 +13,9 @@
 
 use crate::probes::record_probes;
 use aegis_attack::{Gaussian, Mat, Pca};
-use aegis_microarch::{EventCatalog, EventId};
-use aegis_sev::{Host, HostError, PlanSource, Probe, VmId};
+use aegis_microarch::EventId;
+use aegis_par::Executor;
+use aegis_sev::{ActivitySource, Host, HostError, PlanSource, Probe, VmId};
 use aegis_workloads::SecretApp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,6 +114,16 @@ pub fn gaussian_mixture_mi(models: &[Gaussian]) -> f64 {
 /// Measures and ranks `events` by their mutual information with the
 /// application's secret. Returns rankings sorted descending by MI.
 ///
+/// Every group of `counter_slots` events measures every secret
+/// `reps_per_secret` times, one probe per measurement. Probe plans are
+/// drawn from one generator in probe order, each over only the window its
+/// probe runs ([`SecretApp::sample_span`]), except the last: its source
+/// stays attached to the vCPU afterwards, so it gets the whole plan, as an
+/// attach + record loop would leave it. Each event's series are kept in
+/// one flat matrix, and once the last probe is recorded every event is
+/// scored on the worker pool ([`Executor::map`]); the order among equal
+/// scores is the event order, whatever the worker count.
+///
 /// # Errors
 ///
 /// Returns [`HostError`] for invalid vm/vcpu ids.
@@ -130,86 +141,74 @@ pub fn rank_events(
     let slots = host.arch().counter_slots();
     let groups: Vec<&[EventId]> = events.chunks(slots).collect();
 
-    // Every group measures every secret `reps_per_secret` times; plans
-    // are sampled as the probes are recorded, in this order.
+    // Probe `next` measures secret `next / reps % n_secrets` on group
+    // `next / per_group`.
     let n_secrets = app.n_secrets();
     let reps = cfg.reps_per_secret;
     let per_group = n_secrets * reps;
+    let n_probes = groups.len() * per_group;
+    let window_ns = cfg.window_ns.min(app.window_ns());
     let mut next = 0usize;
     let probes = std::iter::from_fn(|| {
         let group = *groups.get(next.checked_div(per_group)?)?;
         let secret = next / reps % n_secrets;
         next += 1;
         let _sample = aegis_obs::span("profile.sample");
+        let source = if next == n_probes {
+            PlanSource::new(app.sample_plan(secret, &mut rng))
+        } else {
+            let (plan, skip_ns) = app.sample_span(secret, &mut rng, &mut |_| 0..window_ns);
+            let mut source = PlanSource::new(plan);
+            source.advance(skip_ns);
+            source
+        };
         Some(Probe {
-            source: PlanSource::new(app.sample_plan(secret, &mut rng)),
+            source,
             events: group,
             interval_ns: cfg.interval_ns,
-            duration_ns: cfg.window_ns.min(app.window_ns()),
+            duration_ns: window_ns,
         })
     });
 
-    // rows[event_in_group][secret][rep] = measured series of the group
-    // being recorded; a group is scored as soon as its last trace lands,
-    // so only one group's series are ever held.
-    let empty = || vec![vec![Vec::with_capacity(reps); n_secrets]; slots];
-    let mut rows = empty();
-    let mut rankings = Vec::with_capacity(events.len());
+    // series[event] holds one row per probe of its group, secret-major.
+    let mut series = vec![Mat::default(); events.len()];
     let mut probe = 0;
     record_probes(host, vm, vcpu, probes, |trace| {
-        let secret = probe / reps % n_secrets;
-        for (e, series) in trace.data.into_iter().enumerate() {
-            rows[e][secret].push(series);
+        let first = probe / per_group * slots;
+        for (rows, s) in series[first..].iter_mut().zip(&trace.data) {
+            rows.push_row(s);
         }
         probe += 1;
-        if probe % per_group == 0 {
-            let _score = aegis_obs::span("profile.score");
-            rankings.extend(score(&catalog, groups[probe / per_group - 1], &rows));
-            rows = empty();
-        }
     })?;
-    if per_group == 0 {
-        // Nothing to measure: every event scores on empty series.
-        for group in &groups {
-            rankings.extend(score(&catalog, group, &rows));
-        }
-    }
+
+    let score = aegis_obs::span("profile.score");
+    let units = events.iter().copied().zip(series).collect();
+    let mut rankings = Executor::from_config().map(units, |_, (event, series)| EventRanking {
+        event,
+        name: catalog.get(event).expect("valid event").name.clone(),
+        mi_bits: event_mi(&series, reps),
+    });
+    drop(score);
     rankings.sort_by(|a, b| b.mi_bits.total_cmp(&a.mi_bits));
     Ok(rankings)
 }
 
-/// Scores each event of a group from its measured series (`rows`, aligned
-/// with `group`).
-fn score<'a>(
-    catalog: &'a EventCatalog,
-    group: &'a [EventId],
-    rows: &'a [Vec<Vec<Vec<f64>>>],
-) -> impl Iterator<Item = EventRanking> + 'a {
-    group.iter().zip(rows).map(|(&event, rows)| EventRanking {
-        event,
-        name: catalog.get(event).expect("valid event").name.clone(),
-        mi_bits: event_mi(rows),
-    })
-}
-
-/// PCA-reduce the measured series of one event and compute the Gaussian
-/// mixture MI over secrets.
-fn event_mi(per_secret: &[Vec<Vec<f64>>]) -> f64 {
-    let mut all = Mat::default();
-    for series in per_secret.iter().flatten() {
-        all.push_row(series);
-    }
-    if all.rows() < 2 || all.cols() == 0 {
+/// PCA-reduce the measured series of one event (one row per measurement,
+/// `reps` consecutive rows per secret) and compute the Gaussian mixture
+/// MI over secrets.
+fn event_mi(series: &Mat, reps: usize) -> f64 {
+    if series.rows() < 2 || series.cols() == 0 {
         return 0.0;
     }
-    let pca = Pca::fit(&all, 1);
+    let pca = Pca::fit(series, 1);
     if pca.explained_variance()[0] <= 0.0 {
         return 0.0; // event is flat: no leakage at all
     }
-    let models: Vec<Gaussian> = per_secret
-        .iter()
-        .map(|series| {
-            let feats: Vec<f64> = series.iter().map(|s| pca.transform1(s)).collect();
+    let models: Vec<Gaussian> = (0..series.rows() / reps)
+        .map(|secret| {
+            let feats: Vec<f64> = (secret * reps..(secret + 1) * reps)
+                .map(|row| pca.transform1(series.row(row)))
+                .collect();
             Gaussian::fit(&feats)
         })
         .collect();

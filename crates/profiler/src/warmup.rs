@@ -88,6 +88,12 @@ impl WarmupResult {
 /// Runs warm-up profiling of `app` inside `vm` against every event of the
 /// host's catalog, in groups of `C = 4` to avoid counter multiplexing.
 ///
+/// Each group is probed once idle and `passes` times with the app running
+/// from a random offset of a fresh plan. The offset is drawn after the
+/// plan, inside the `pick` of [`SecretApp::sample_span`], so only the
+/// probe's few milliseconds of plan are built. The vCPU is left with an
+/// empty plan attached.
+///
 /// # Errors
 ///
 /// Returns [`HostError`] if the vm/vcpu ids are invalid.
@@ -107,7 +113,9 @@ pub fn warmup_profile(
     // Per group: an idle pass (only the VM's background hum), then active
     // passes at random plan offsets so every application phase gets
     // probed across the passes. Plans are sampled as the probes are
-    // recorded, in this order.
+    // recorded, in this order, and only over the probe's span: the host
+    // is handed an empty plan afterwards, so no probe's source outlives
+    // its probe.
     let per_group = 1 + cfg.passes.max(1);
     let probe = |events, source| Probe {
         source,
@@ -125,9 +133,13 @@ pub fn warmup_profile(
             return Some(probe(group, PlanSource::new(idle_plan(cfg.probe_ns))));
         }
         let secret = rng.gen_range(0..app.n_secrets());
-        let mut src = PlanSource::new(app.sample_plan(secret, &mut rng));
         let max_off = app.window_ns().saturating_sub(cfg.probe_ns);
-        src.advance(rng.gen_range(0..=max_off));
+        let (plan, skip_ns) = app.sample_span(secret, &mut rng, &mut |rng| {
+            let offset = rng.gen_range(0..=max_off);
+            offset..offset + cfg.probe_ns
+        });
+        let mut src = PlanSource::new(plan);
+        src.advance(skip_ns);
         Some(probe(group, src))
     });
     let mut totals = Vec::with_capacity(groups.len() * per_group);

@@ -1202,24 +1202,28 @@ fn tick_core<C: TickCore>(
     // The injector first observes the app's activity (the kernel
     // module's RDPMC monitoring), then runs at its demanded rate with
     // priority — the daemon inserts noise inline, ahead of app progress.
-    let inj_rate = injector
-        .as_mut()
-        .map(|inj| {
-            inj.observe_coscheduled(&app_rate, TICK_NS);
-            if stalled {
-                ActivityVector::ZERO
-            } else {
-                inj.demand().unwrap_or(ActivityVector::ZERO)
-            }
-        })
-        .unwrap_or(ActivityVector::ZERO);
-    let inj_uops = inj_rate[Feature::UopsRetired].min(cap);
-    let inj_scale = if inj_rate[Feature::UopsRetired] > cap {
-        cap / inj_rate[Feature::UopsRetired]
-    } else {
-        1.0
-    };
-    let inj_exec = inj_rate.scaled(inj_scale);
+    // Without an injector nothing is injected: `inj_uops` stays 0 and
+    // `inj_scale` 1, so the app keeps the whole tick.
+    let tick_us = TICK_NS as f64 / 1_000.0;
+    let mut inj_uops = 0.0;
+    let mut inj_scale = 1.0;
+    if let Some(inj) = injector.as_mut() {
+        inj.observe_coscheduled(&app_rate, TICK_NS);
+        let inj_rate = if stalled {
+            ActivityVector::ZERO
+        } else {
+            inj.demand().unwrap_or(ActivityVector::ZERO)
+        };
+        inj_uops = inj_rate[Feature::UopsRetired].min(cap);
+        if inj_rate[Feature::UopsRetired] > cap {
+            inj_scale = cap / inj_rate[Feature::UopsRetired];
+        }
+        let inj_exec = inj_rate.scaled(inj_scale);
+        if !inj_exec.is_zero() {
+            core.tick_mix(&inj_exec, Origin::Guest(vm.0));
+        }
+        stats.injected_uops += inj_exec[Feature::UopsRetired] * tick_us;
+    }
     let app_uops = app_rate[Feature::UopsRetired];
     // The injector's code runs inline on the vCPU, so the app timeshares:
     // it loses exactly the cycle fraction the injected gadget stacks
@@ -1235,15 +1239,9 @@ fn tick_core<C: TickCore>(
     let app_scale = timeshare.min(cap_scale);
     let app_exec = app_rate.scaled(app_scale);
 
-    if !inj_exec.is_zero() {
-        core.tick_mix(&inj_exec, Origin::Guest(vm.0));
-    }
     if !app_exec.is_zero() {
         core.tick_mix(&app_exec, Origin::Guest(vm.0));
     }
-
-    let tick_us = TICK_NS as f64 / 1_000.0;
-    stats.injected_uops += inj_exec[Feature::UopsRetired] * tick_us;
     stats.app_uops += app_exec[Feature::UopsRetired] * tick_us;
 
     let granted_inj_ns = if stalled {

@@ -11,9 +11,12 @@ use crate::app::SecretApp;
 use crate::mix::MixSpec;
 use crate::plan::{Segment, WorkloadPlan};
 use aegis_microarch::rand_util::normal;
+use aegis_microarch::ActivityVector;
 use rand::rngs::StdRng;
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Number of models in the zoo.
 pub const N_MODELS: usize = 30;
@@ -287,6 +290,30 @@ impl ModelArch {
     }
 }
 
+impl Layer {
+    /// Draws one execution's duration: the first of the layer's two
+    /// draws in [`DnnZoo::sample_inference`].
+    fn duration_ns(&self, rng: &mut StdRng) -> u64 {
+        let (base_ms, _) = self.kind.template();
+        let dur_ms = (base_ms * self.size * normal(rng, 1.0, 0.06).clamp(0.7, 1.3)).max(2.6);
+        (dur_ms * 1e6) as u64
+    }
+
+    /// Draws one execution's activity rate: the second draw.
+    fn rate(&self, rng: &mut StdRng) -> ActivityVector {
+        let (_, mut mix) = self.kind.template();
+        mix.uops_per_us *= normal(rng, 1.0, 0.04).clamp(0.8, 1.2);
+        mix.build()
+    }
+}
+
+/// Moves `rng` past one [`normal`] draw without computing it: the
+/// Box–Muller draw takes exactly two words, with no rejection.
+fn skip_normal(rng: &mut StdRng) {
+    rng.next_u64();
+    rng.next_u64();
+}
+
 fn layer(kind: LayerKind, size: f64) -> Layer {
     Layer { kind, size }
 }
@@ -506,11 +533,8 @@ impl DnnZoo {
         let mut spans = Vec::with_capacity(arch.layers.len());
         let mut cursor = 0u64;
         for l in &arch.layers {
-            let (base_ms, mut mix) = l.kind.template();
-            let dur_ms = (base_ms * l.size * normal(rng, 1.0, 0.06).clamp(0.7, 1.3)).max(2.6);
-            mix.uops_per_us *= normal(rng, 1.0, 0.04).clamp(0.8, 1.2);
-            let dur_ns = (dur_ms * 1e6) as u64;
-            plan.push(Segment::new(dur_ns, mix.build()));
+            let dur_ns = l.duration_ns(rng);
+            plan.push(Segment::new(dur_ns, l.rate(rng)));
             spans.push(LayerSpan {
                 kind: l.kind,
                 start_ns: cursor,
@@ -549,6 +573,61 @@ impl SecretApp for DnnZoo {
         }
         plan.truncate_to(self.window_ns);
         plan
+    }
+
+    /// Two passes over the draws [`SecretApp::sample_plan`] makes. The
+    /// first draws every layer's duration and skips its rate draw, which
+    /// fixes the segment boundaries and leaves `rng` where `sample_plan`
+    /// does. The second replays a copy of the generator and builds only
+    /// the segments from the one running at the span start through the
+    /// one starting at or after its end, truncated to the window like
+    /// `sample_plan`'s. That last segment keeps the source from running
+    /// dry at the span end where the full plan would not.
+    fn sample_span(
+        &self,
+        secret: usize,
+        rng: &mut StdRng,
+        pick: &mut dyn FnMut(&mut StdRng) -> Range<u64>,
+    ) -> (WorkloadPlan, u64) {
+        let layers = &self.models[secret].layers;
+        let mut replay = rng.clone();
+        let mut durations = Vec::new();
+        let mut total = 0u64;
+        while total < self.window_ns {
+            for l in layers {
+                let dur_ns = l.duration_ns(rng);
+                skip_normal(rng);
+                durations.push(dur_ns);
+                total += dur_ns;
+            }
+        }
+        let span = pick(rng);
+
+        let mut plan = WorkloadPlan::new();
+        let mut skip_ns = 0;
+        let mut start_ns = 0u64;
+        for (&dur_ns, l) in durations.iter().zip(layers.iter().cycle()) {
+            if start_ns >= self.window_ns {
+                break;
+            }
+            skip_normal(&mut replay);
+            if start_ns + dur_ns <= span.start {
+                // Over before the span starts.
+                skip_normal(&mut replay);
+                start_ns += dur_ns;
+                continue;
+            }
+            if plan.segments.is_empty() {
+                skip_ns = span.start - start_ns;
+            }
+            let rate = l.rate(&mut replay);
+            plan.push(Segment::new(dur_ns.min(self.window_ns - start_ns), rate));
+            if start_ns >= span.end {
+                break;
+            }
+            start_ns += dur_ns;
+        }
+        (plan, skip_ns)
     }
 }
 

@@ -181,12 +181,13 @@ echo "== bench smoke (AEGIS_BENCH_SMOKE=1) =="
 # One iteration per bench workload, no criterion sampling: proves every
 # bench harness still compiles and runs end to end without burning
 # minutes. No bench writes, so the checked-in BENCH_*.json numbers are
-# not rewritten; fleet_kernel (storm steps) and parallel_scaling (one
-# collection at 1 and at 2 workers) build their rows and speedup ratios
-# through the writer and check them (no repeated (id, metric), no
-# non-finite value), the others return before their writer runs. The
-# canonical bench list is
-# the [[bench]] section of the root Cargo.toml; --benches runs all of it.
+# not rewritten; fleet_kernel (storm steps), parallel_scaling (one
+# collection and one dnn ranking at 1 and at 2 workers) and
+# measurement_kernel (one timed fuzzer run) build their rows and derived
+# rates or speedup ratios through the writer and check them (no repeated
+# (id, metric), no non-finite value), the others return before their
+# writer runs. The canonical bench list is the [[bench]] section of the
+# root Cargo.toml; --benches runs all of it.
 AEGIS_BENCH_SMOKE=1 cargo bench -p aegis-suite --benches
 
 echo "== bench baseline diff =="

@@ -11,7 +11,7 @@ use aegis::fuzzer::{EventFuzzer, FuzzerConfig};
 use aegis::microarch::{named, Core, InterferenceConfig, MicroArch};
 use aegis::par::{derive_seed, set_threads, ArtifactCache};
 use aegis::sev::{Host, PlanSource, SevMode};
-use aegis::workloads::{SecretApp, WebsiteCatalog};
+use aegis::workloads::{DnnZoo, SecretApp, WebsiteCatalog};
 use aegis::{CollectConfig, Collector};
 use aegis_isa::{IsaCatalog, Vendor};
 use std::sync::{Mutex, PoisonError};
@@ -450,35 +450,45 @@ mod seed_collisions {
 
 #[test]
 fn profiler_is_bit_identical_for_1_2_and_8_workers_and_full_observability() {
-    // Warm-up and ranking probes run as lanes on the worker pool; their
-    // outputs and the template host they leave behind must not depend on
-    // the worker count or on AEGIS_OBS.
+    // Warm-up and ranking probes run as lanes on the worker pool, and
+    // ranking scores its events there; their outputs and the template
+    // host they leave behind must not depend on the worker count or on
+    // AEGIS_OBS. The dnn zoo samples its probes over their spans only
+    // (`SecretApp::sample_span`), the website catalog through the
+    // default.
     use aegis::profiler::{rank_events, warmup_profile, RankConfig, WarmupConfig};
     let _guard = THREAD_KNOB.lock().unwrap_or_else(PoisonError::into_inner);
+    let apps: [Box<dyn SecretApp>; 2] =
+        [Box::new(WebsiteCatalog::new(3)), Box::new(DnnZoo::new(3))];
     let profile = |threads: usize| {
         set_threads(threads);
-        let mut host = Host::new(MicroArch::AmdEpyc7252, 2, 5);
-        let vm = host.launch_vm(1, SevMode::SevSnp).unwrap();
-        let app = WebsiteCatalog::new(3);
-        let warm_cfg = WarmupConfig {
-            probe_ns: 2_000_000,
-            passes: 2,
-            ..WarmupConfig::default()
+        let profile_app = |app: &dyn SecretApp| {
+            let mut host = Host::new(MicroArch::AmdEpyc7252, 2, 5);
+            let vm = host.launch_vm(1, SevMode::SevSnp).unwrap();
+            let warm_cfg = WarmupConfig {
+                probe_ns: 2_000_000,
+                passes: 2,
+                ..WarmupConfig::default()
+            };
+            let warm = warmup_profile(&mut host, vm, 0, app, &warm_cfg).unwrap();
+            let rank_cfg = RankConfig {
+                reps_per_secret: 1,
+                window_ns: 20_000_000,
+                interval_ns: 5_000_000,
+                seed: 3,
+            };
+            let ranks =
+                rank_events(&mut host, vm, 0, app, &warm.vulnerable[..12], &rank_cfg).unwrap();
+            let state = (
+                host.clock_ns(),
+                host.core(0).cycles(),
+                host.vcpu_stats(vm, 0).unwrap(),
+            );
+            (warm, ranks, state)
         };
-        let warm = warmup_profile(&mut host, vm, 0, &app, &warm_cfg).unwrap();
-        let rank_cfg = RankConfig {
-            reps_per_secret: 1,
-            window_ns: 20_000_000,
-            interval_ns: 5_000_000,
-            seed: 3,
-        };
-        let ranks = rank_events(&mut host, vm, 0, &app, &warm.vulnerable[..12], &rank_cfg).unwrap();
-        let state = (
-            host.clock_ns(),
-            host.core(0).cycles(),
-            host.vcpu_stats(vm, 0).unwrap(),
-        );
-        (warm, ranks, state)
+        apps.iter()
+            .map(|app| profile_app(app.as_ref()))
+            .collect::<Vec<_>>()
     };
     aegis::obs::set_level(Some(aegis::obs::ObsLevel::Off));
     let serial = profile(1);
@@ -487,10 +497,13 @@ fn profiler_is_bit_identical_for_1_2_and_8_workers_and_full_observability() {
     let observed_wide = profile(8);
     aegis::obs::set_level(None);
     aegis::obs::reset();
-    assert!(
-        serial.1.iter().any(|r| r.mi_bits > 0.0),
-        "ranking must see leakage"
-    );
+    for (app, (_, ranks, _)) in apps.iter().zip(&serial) {
+        assert!(
+            ranks.iter().any(|r| r.mi_bits > 0.0),
+            "{}: ranking must see leakage",
+            app.name()
+        );
+    }
     assert_eq!(serial, pair, "worker count leaked into the profile");
     assert_eq!(
         serial, observed_wide,

@@ -350,35 +350,40 @@ fn cli_profiler(seed: u64) -> (WarmupConfig, RankConfig) {
 
 /// `warmup_profile` + `rank_events` for the four CLI apps at the CLI's
 /// default seed, pinned to what the attach + record loop produced: the
-/// warm-up and ranking fingerprints, and the host clock and cycles left
-/// behind.
+/// warm-up and ranking fingerprints, the host clock and cycles left
+/// behind, and the vCPU stats and cycles after that host runs one more
+/// second.
 #[test]
 fn profiler_outputs_for_the_cli_apps_are_pinned() {
     let seed = 7;
-    let apps: [(&str, Box<dyn SecretApp>, &str); 4] = [
+    let apps: [(&str, Box<dyn SecretApp>, &str, &str); 4] = [
         (
             "keystroke",
             Box::new(KeystrokeApp::with_window(400_000_000)),
             "e971fe8edccb41e5 b897c666df1a7d05 52112000000 10140232980 25795089",
+            "VcpuStats { app_uops: 5134083028.411134, injected_uops: 0.0, app_done_at_ns: Some(52432000000) } 10241235673 26290530",
         ),
         (
             "website",
             Box::new(WebsiteCatalog::new(seed)),
             "747eefd3195c02cb 9fc9922676eb0200 293712000000 65869630005 145387533",
+            "VcpuStats { app_uops: 40880225366.030014, injected_uops: 0.0, app_done_at_ns: None } 69540482415 145882016",
         ),
         (
             "dnn",
             Box::new(DnnZoo::new(seed)),
             "9b02ca1a1f5ca67d 6e0e88dd1ed8cc5b 202512000000 769806535139 100241177",
+            "VcpuStats { app_uops: 365321566096.61, injected_uops: 0.0, app_done_at_ns: None } 777468026617 100736035",
         ),
         (
             "crypto",
             Box::new(CryptoApp::with_window(4, 400_000_000)),
             "75417ef2997fb736 844aafde814bcee2 105552000000 324868446192 52247106",
+            "VcpuStats { app_uops: 176964141922.03857, injected_uops: 0.0, app_done_at_ns: Some(105872000000) } 326258965383 52742370",
         ),
     ];
     let (warm_cfg, rank_cfg) = cli_profiler(seed);
-    for (name, app, want) in apps {
+    for (name, app, want, want_after) in apps {
         let mut host = Host::with_faults(MicroArch::AmdEpyc7252, 2, seed, FaultPlan::none());
         let vm = host.launch_vm(1, SevMode::SevSnp).unwrap();
         let warm = warmup_profile(&mut host, vm, 0, app.as_ref(), &warm_cfg).unwrap();
@@ -393,5 +398,15 @@ fn profiler_outputs_for_the_cli_apps_are_pinned() {
             host.core(1).cycles()
         );
         assert_eq!(got, want, "{name}");
+        // The last ranking probe's source stays attached: one more second
+        // of the host runs whatever of its plan is left.
+        host.run(1_000_000_000);
+        let got = format!(
+            "{:?} {} {}",
+            host.vcpu_stats(vm, 0).unwrap(),
+            host.core(0).cycles(),
+            host.core(1).cycles()
+        );
+        assert_eq!(got, want_after, "{name} after one more second");
     }
 }
